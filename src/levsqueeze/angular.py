@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,19 +72,6 @@ class Direction:
     def unit_vector(self):
         e_k, _, _ = spherical_basis(self.theta, self.phi)
         return e_k
-
-
-@dataclass(frozen=True)
-class PolarizationBasis:
-    """The two transverse unit vectors (e_theta, e_phi) at a direction."""
-
-    e_theta: np.ndarray
-    e_phi: np.ndarray
-
-    @classmethod
-    def at(cls, direction: Direction) -> "PolarizationBasis":
-        _, e_t, e_p = spherical_basis(direction.theta, direction.phi)
-        return cls(e_theta=e_t, e_phi=e_p)
 
 
 def rotation_to_axis(axis):
@@ -237,14 +224,6 @@ class AngularDistribution:
         """Complex components along (e_theta, e_phi), shape (2, n)."""
         return self._scale * np.asarray(self._func(theta, phi))
 
-    def amplitude_at(self, direction: Direction):
-        a = self.amplitude(np.array([direction.theta]), np.array([direction.phi]))
-        return a[:, 0]
-
-    def squared_intensity(self, theta, phi):
-        """Polarization-summed squared modulus."""
-        return np.abs(self.amplitude(theta, phi)) ** 2
-
     @property
     def is_normalized(self):
         return abs(self.norm_squared - 1.0) <= NORM_TOLERANCE
@@ -348,6 +327,16 @@ def make_libration_distribution(axis, arg_alpha0=0.0, rule=DEFAULT_RULE):
     )
 
 
+def make_mode(kind, axis, rule=DEFAULT_RULE):
+    """Coupling pattern of a mechanical mode: `motion` along, or `libration`
+    about, the Cartesian `axis`."""
+    if kind == "motion":
+        return make_motion_distribution(axis, rule=rule)
+    if kind == "libration":
+        return make_libration_distribution(axis, rule=rule)
+    raise ConfigError(f"mode kind must be motion or libration, got {kind!r}")
+
+
 def beam_frame(axis):
     """Transverse unit vectors (u, v) completing the beam axis to a frame.
 
@@ -394,6 +383,22 @@ def make_gaussian_beam(na, propagation_axis, polarization_angle=0.0, rule=DEFAUL
         },
         rule=rule,
     )
+
+
+def make_beam(na, axis=(0.0, 0.0, -1.0), polarization_angle=0.0, weight=0.0, rule=DEFAULT_RULE):
+    """The Gaussian beam of the given parameters along `axis`.
+
+    With weight w > 0 it is superposed, with amplitude sqrt(1 - w), on an
+    identical counter-propagating beam of amplitude sqrt(w).
+    """
+    if not (0.0 <= weight <= 1.0):
+        raise ConfigError(f"beam weight must lie in [0, 1], got {weight}")
+    axis = np.asarray(axis, dtype=float)
+    beam = make_gaussian_beam(na, axis, polarization_angle, rule=rule)
+    if weight > 0.0:
+        partner = make_gaussian_beam(na, -axis, polarization_angle, rule=rule)
+        beam = superpose([beam, partner], [np.sqrt(1.0 - weight), np.sqrt(weight)], rule=rule)
+    return beam
 
 
 def rotated(dist: AngularDistribution, rotation, rule=None):

@@ -2,8 +2,11 @@
 
 Subcommands emit CSV tables and JSON sidecars for recoil sweeps, radiation
 patterns, sensitivity curves, beam optimization and Wigner-function data.
-Every option can also come from a JSON config file (flag beats file); each
-run echoes its fully resolved settings so reruns are reproducible.
+Each option is declared once, as a row of OPTIONS (or COMMON for the group
+options); that row yields the click flag, the typed property of the
+command's config section, and the line in the echoed config. A flag beats
+the config file, which beats the default; each run echoes its resolved
+settings to `<command>_config.json`, so reruns are reproducible.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -16,103 +19,229 @@ import math
 import os
 import re
 import sys
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import detect, physics, scatter, squeeze
-from .angular import (
-    QuadratureRule,
-    make_gaussian_beam,
-    make_libration_distribution,
-    make_motion_distribution,
-)
+from .angular import QuadratureRule, make_beam, make_mode
 from .errors import ConfigError, NumericalFailure
 from .io import write_csv, write_json
 from .optimize import OptimizationProblem, optimize as run_optimize
 
 CONFIG_DIR_ENV = "LEVSQUEEZE_CONFIG_DIR"
+PHYSICS_SECTIONS = ("laser", "particle", "rotor")
 
+# "x", "+x", "-x", ... -> unit vector
 AXIS_TOKENS = {
-    "x": [1.0, 0.0, 0.0],
-    "+x": [1.0, 0.0, 0.0],
-    "-x": [-1.0, 0.0, 0.0],
-    "y": [0.0, 1.0, 0.0],
-    "+y": [0.0, 1.0, 0.0],
-    "-y": [0.0, -1.0, 0.0],
-    "z": [0.0, 0.0, 1.0],
-    "+z": [0.0, 0.0, 1.0],
-    "-z": [0.0, 0.0, -1.0],
+    sign + name: [(-1.0 if sign == "-" else 1.0) if i == j else 0.0 for j in range(3)]
+    for i, name in enumerate("xyz")
+    for sign in ("", "+", "-")
 }
 
 _PI_PATTERN = re.compile(r"^([+-]?)(\d+(?:\.\d+)?)?pi(?:/(\d+(?:\.\d+)?))?$")
 
 
-def parse_phase(text) -> float:
-    """Parse a phase: plain float or exact pi-literal like `3pi/2`."""
-    if isinstance(text, (int, float)):
-        return float(text)
+def parse_number(text, what="number") -> float:
+    """Parse a finite number: plain float or exact pi-literal like `3pi/2`.
+
+    Every numeric user input goes through here; anything unparsable or
+    non-finite is a ConfigError.
+    """
     s = str(text).strip().replace(" ", "")
     match = _PI_PATTERN.match(s)
-    if match:
-        sign = -1.0 if match.group(1) == "-" else 1.0
-        coeff = float(match.group(2)) if match.group(2) else 1.0
-        div = float(match.group(3)) if match.group(3) else 1.0
-        return sign * coeff * math.pi / div
     try:
-        return float(s)
+        if match:
+            sign, coeff, div = match.groups()
+            value = (-1.0 if sign == "-" else 1.0) * float(coeff or 1.0) * math.pi / float(div or 1.0)
+        else:
+            value = float(s)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"cannot parse {what} {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{what} must be finite, got {text!r}")
+    return value
+
+
+def parse_grid(text, what="grid") -> tuple[int, int]:
+    """Parse an `NxM` spec of two positive integers."""
+    try:
+        n, m = (int(p) for p in str(text).lower().split("x"))
     except ValueError:
-        raise ConfigError(f"cannot parse phase {text!r}") from None
+        raise ConfigError(f"{what} must look like NxM, got {text!r}") from None
+    if n < 1 or m < 1:
+        raise ConfigError(f"{what} sizes must be positive, got {text!r}")
+    return n, m
 
 
 def parse_quad(text) -> QuadratureRule:
-    try:
-        n_theta, n_phi = (int(p) for p in str(text).lower().split("x"))
-    except ValueError:
-        raise ConfigError(f"quadrature spec must look like 64x128, got {text!r}") from None
-    return QuadratureRule(n_theta=n_theta, n_phi=n_phi)
+    return QuadratureRule(*parse_grid(text, "quadrature spec"))
 
 
 def parse_db_range(text):
-    """A dB value or start:stop:step range (stop inclusive within step/2)."""
+    """A dB value or start:stop:step range.
+
+    The range steps up from start and never passes stop; stop itself is
+    included when it lies on the grid to within 1e-9 of a step.
+    """
     parts = str(text).split(":")
     if len(parts) == 1:
-        return [float(parts[0])]
+        return [parse_number(text, "dB value")]
     if len(parts) != 3:
         raise ConfigError(f"dB range must be value or start:stop:step, got {text!r}")
-    start, stop, step = (float(p) for p in parts)
+    start, stop, step = (parse_number(p, "dB range bound") for p in parts)
     if step <= 0 or stop < start:
         raise ConfigError("dB range requires step > 0 and stop >= start")
-    n = int(round((stop - start) / step))
+    n = math.floor((stop - start) / step + 1e-9)
     return [start + i * step for i in range(n + 1)]
 
 
 def parse_beam_spec(text) -> dict:
-    """Parse `na=0.9,axis=-z,pol=0` into beam parameters."""
-    params = {"na": None, "axis": [0.0, 0.0, -1.0], "polarization_angle": 0.0}
+    """Parse `na=0.9,axis=-z,pol=0` into beam parameters plus a label."""
+    params = {"na": None, "axis": AXIS_TOKENS["-z"], "polarization_angle": 0.0}
     label_axis = "-z"
     for item in str(text).split(","):
         if "=" not in item:
             raise ConfigError(f"beam spec item {item!r} is not key=value")
         key, value = (p.strip() for p in item.split("=", 1))
         if key == "na":
-            try:
-                params["na"] = float(value)
-            except ValueError:
-                raise ConfigError(f"beam na must be a number, got {value!r}") from None
+            params["na"] = parse_number(value, "beam na")
         elif key == "axis":
             if value not in AXIS_TOKENS:
                 raise ConfigError(f"beam axis must be one of {sorted(AXIS_TOKENS)}")
             params["axis"] = AXIS_TOKENS[value]
             label_axis = value
         elif key == "pol":
-            params["polarization_angle"] = parse_phase(value)
+            params["polarization_angle"] = parse_number(value, "beam pol")
         else:
             raise ConfigError(f"unknown beam parameter {key!r}")
     if params["na"] is None:
         raise ConfigError("beam spec requires na=")
     params["label"] = f"na{params['na']:g}_{label_axis.lstrip('+')}"
     return params
+
+
+class Opt(NamedTuple):
+    """One CLI option. `name` is its config key and parameter name; the
+    default's type sets the flag kind and the config type."""
+
+    name: str
+    default: object
+    help: str
+    flag: str | None = None  # when not --name with dashes
+
+
+AXIS = Opt("axis", "z", "Mechanical axis (x, y or z).")
+KIND = Opt("kind", "motion", "motion or libration.")
+DB = Opt("db", "15", "Squeezing in dB.")
+OFFSET = Opt("phase", "0", "Phase offset phi_s - 2 arg(xi); pi-literals allowed.")
+
+COMMON = (
+    Opt("quad", "64x128", "Quadrature NTHETAxNPHI."),
+    Opt("seed", 0, "Random seed for stochastic stages."),
+)
+OPTIONS = {
+    "recoil": (
+        AXIS,
+        KIND,
+        Opt("beams", (), "Beam spec na=...,axis=...,pol=... (repeatable).", "--beam"),
+        Opt("perfect_overlap", False, "Include the |xi|=1 column."),
+        Opt("db", "0:20:0.5", "Squeezing in dB: value or start:stop:step."),
+        OFFSET,
+        Opt("absolute_phase", False, "Treat --phase as absolute phi_s instead of the offset phi_s - 2 arg(xi)."),
+    ),
+    "irp": (
+        AXIS,
+        KIND,
+        Opt("beam", "na=0.9,axis=-z", "Beam spec na=...,axis=...,pol=..."),
+        DB,
+        OFFSET,
+        Opt("grid", "181x360", "Export grid NTHETAxNPHI."),
+    ),
+    "sensitivity": (
+        Opt("xi", 1.0, "Overlap modulus |xi|."),
+        DB,
+        OFFSET._replace(default="3pi/2"),
+        Opt("omega_ratio", 1e-3, "omega / mode frequency."),
+        Opt("gamma_ratio", 1e-6, "damping / mode frequency."),
+        Opt("u_range", "1e-4:1e4:200", "Log grid lo:hi:n for the measurement strength.", "--u"),
+        Opt("heatmap", False, "Emit the (e^2r, |xi|^2) optimal-sensitivity table instead of a u-curve."),
+        Opt("heatmap_grid", "25x26", "Heatmap resolution N_E2RxN_XI2."),
+    ),
+    "optimize": (
+        Opt("objective", "recoil_ratio", "recoil_ratio or s_min_opt."),
+        KIND,
+        AXIS,
+        DB,
+        Opt("free", (), "Free parameter name=lo:hi (repeatable)."),
+        Opt("fixed", (), "Fixed parameter name=value (repeatable)."),
+        Opt("budget", 200, "Max objective evaluations."),
+    ),
+    "wigner": (
+        Opt("source", "bare", "bare (squeezed mode) or input (interacting mode)."),
+        DB,
+        Opt("phase", "0", "Squeeze phase (bare) or offset phi_s - 2 arg(xi) (input)."),
+        Opt("xi", 1.0, "Overlap modulus (input source only)."),
+        Opt("grid_n", 101, "Grid points per quadrature axis."),
+    ),
+}
+
+
+class _Number(click.ParamType):
+    """Click type of the real-valued options: parse_number's finite float."""
+
+    name = "number"
+
+    def convert(self, value, param, ctx):
+        return parse_number(value, param.name if param else self.name)
+
+
+# Per default type: click option settings, and the JSON type of the config
+# key. String options also take JSON numbers, which click turns into strings.
+_CLICK_KIND = {
+    bool: {"is_flag": True},
+    tuple: {"multiple": True},
+    int: {"type": click.IntRange(min=0)},
+    float: {"type": _Number()},
+    str: {},
+}
+_JSON_TYPE = {
+    bool: {"type": "boolean"},
+    tuple: {"type": "array", "items": {"type": "string"}},
+    int: {"type": "integer", "minimum": 0},
+    float: {"type": "number"},
+    str: {"type": ["string", "number"]},
+}
+
+
+def _with_options(opts):
+    def decorate(func):
+        for opt in reversed(opts):
+            flag = opt.flag or "--" + opt.name.replace("_", "-")
+            kind = _CLICK_KIND[type(opt.default)]
+            func = click.option(flag, opt.name, default=opt.default, help=opt.help, **kind)(func)
+        return func
+
+    return decorate
+
+
+def config_schema() -> dict:
+    """The config file schema: the physics sections of config_schema.json
+    plus one typed section per subcommand, derived from OPTIONS."""
+    text = importlib.resources.files("levsqueeze").joinpath("config_schema.json").read_text()
+    schema = json.loads(text)
+    for command, opts in OPTIONS.items():
+        schema["properties"][command] = {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                o.name: {**_JSON_TYPE[type(o.default)], "description": o.help} for o in COMMON + opts
+            },
+        }
+    return schema
 
 
 def load_config(path):
@@ -136,463 +265,237 @@ def load_config(path):
 
 
 def _validate_config(config):
+    import jsonschema  # only runs that read a config file pay for this import
+
     try:
-        import jsonschema
-    except ImportError:
-        return
-    schema = json.loads(
-        importlib.resources.files("levsqueeze").joinpath("config_schema.json").read_text()
-    )
-    try:
-        jsonschema.validate(config, schema)
+        # The schema itself is checked by the tests, not on every run.
+        jsonschema.Draft202012Validator(config_schema()).validate(config)
     except jsonschema.ValidationError as exc:
         field = "/".join(str(p) for p in exc.absolute_path) or "(top level)"
         raise ConfigError(f"config field {field}: {exc.message}") from None
 
 
-def _effective(ctx, section, name, value):
-    """Flag > config file > click default."""
-    source = ctx.get_parameter_source(name)
-    if source is not None and source.name == "COMMANDLINE":
-        return value
-    if name in section:
-        return section[name]
-    return value
+def _read_config(ctx, param, path):
+    """Eager --config callback: each section becomes the default map of its
+    subcommand, so click resolves flag > file > default per option."""
+    config = load_config(path)
+    ctx.default_map = config
+    return config
 
 
-class _Common:
-    def __init__(self, config_path, out, quad, threads, seed):
-        self.config = load_config(config_path)
+class Run:
+    """What every subcommand shares: the config file, the output directory
+    and the resolved COMMON options."""
+
+    def __init__(self, config, out, common):
+        self.config = config
         self.out = out
-        self.quad_spec = quad
-        self.rule = parse_quad(quad)
-        self.threads = threads
-        self.seed = seed
-
-    def section(self, name):
-        return self.config.get(name, {})
-
-    def resolve_common(self, ctx, section):
-        """Let a config section supply quad/threads/seed when the top-level
-        flags were not given explicitly."""
-        parent = ctx.parent or ctx
-        for name in ("quad", "threads", "seed"):
-            source = parent.get_parameter_source(name)
-            explicit = source is not None and source.name == "COMMANDLINE"
-            if not explicit and name in section:
-                if name == "quad":
-                    self.quad_spec = section[name]
-                    self.rule = parse_quad(self.quad_spec)
-                elif name == "threads":
-                    self.threads = int(section[name])
-                else:
-                    self.seed = int(section[name])
+        self.common = common
+        self.rule = parse_quad(common["quad"])
+        self.seed = common["seed"]
 
     def path(self, name):
         return os.path.join(self.out, name)
 
-    def common_echo(self):
-        return {
-            "quad": self.quad_spec,
-            "threads": self.threads,
-            "seed": self.seed,
-        }
+    def derived_report(self):
+        cfg = self.config
+        if "laser" not in cfg:
+            return None
+        laser = physics.Laser(**cfg["laser"])
+        particle = physics.Particle(**cfg["particle"]) if "particle" in cfg else None
+        rotor = physics.Rotor(**cfg["rotor"]) if "rotor" in cfg else None
+        return physics.derived_report(laser, particle=particle, rotor=rotor)
 
 
 @click.group()
-@click.option("--config", "config_path", type=click.Path(), default=None, help="JSON config file.")
+@click.option("--config", type=click.Path(), callback=_read_config, is_eager=True, help="JSON config file.")
 @click.option("--out", type=click.Path(), default=".", help="Output directory.")
-@click.option("--quad", default="64x128", help="Quadrature NTHETAxNPHI.")
-@click.option("--threads", type=int, default=1, help="Worker threads.")
-@click.option("--seed", type=int, default=0, help="Random seed for stochastic stages.")
+@_with_options(COMMON)
 @click.pass_context
-def cli(ctx, config_path, out, quad, threads, seed):
+def cli(ctx, config, out, **common):
     """Squeezed-light recoil, scattering and detection calculator."""
-    ctx.obj = _Common(config_path, out, quad, threads, seed)
+    # The invoked command's config section may set quad/seed unless the flag was given.
+    section = config.get(ctx.invoked_subcommand, {})
+    for param in ctx.command.params:
+        if param.name in section and ctx.get_parameter_source(param.name) is not ParameterSource.COMMANDLINE:
+            common[param.name] = param.type_cast_value(ctx, section[param.name])
+    ctx.obj = Run(config, out, common)
 
 
-def _mode_distribution(kind, axis, rule):
-    if kind == "motion":
-        return make_motion_distribution(axis, rule=rule)
-    if kind == "libration":
-        return make_libration_distribution(axis, rule=rule)
-    raise ConfigError(f"kind must be motion or libration, got {kind!r}")
+def command(name):
+    """Register `body(run, opt)` as the subcommand `name` with the options
+    OPTIONS[name]. `opt` holds the resolved values; after the body ran they
+    are echoed, with any the body settled itself, to `<name>_config.json`."""
+
+    def decorate(body):
+        @click.pass_obj
+        def callback(run, **values):
+            opt = SimpleNamespace(**values)
+            body(run, opt)
+            payload = {name: {**vars(opt), **run.common}}
+            payload.update({k: run.config[k] for k in PHYSICS_SECTIONS if k in run.config})
+            write_json(run.path(f"{name}_config.json"), payload)
+
+        return cli.command(name, help=body.__doc__)(_with_options(OPTIONS[name])(callback))
+
+    return decorate
 
 
-def _echo_config(common, section_name, resolved):
-    payload = {section_name: resolved}
-    for extra in ("laser", "particle", "rotor"):
-        if extra in common.config:
-            payload[extra] = common.config[extra]
-    write_json(common.path(f"{section_name}_config.json"), payload)
-
-
-def _derived_report(common):
-    cfg = common.config
-    if "laser" not in cfg:
-        return None
-    laser = physics.Laser(**cfg["laser"])
-    particle = physics.Particle(**cfg["particle"]) if "particle" in cfg else None
-    rotor = physics.Rotor(**cfg["rotor"]) if "rotor" in cfg else None
-    return physics.derived_report(laser, particle=particle, rotor=rotor)
-
-
-@cli.command()
-@click.option("--axis", default="z", help="Mechanical axis (x, y or z).")
-@click.option("--kind", default="motion", help="motion or libration.")
-@click.option("--beam", "beams", multiple=True, help="Beam spec na=...,axis=...,pol=... (repeatable).")
-@click.option("--perfect-overlap", is_flag=True, default=False, help="Include the |xi|=1 column.")
-@click.option("--db", default="0:20:0.5", help="Squeezing in dB: value or start:stop:step.")
-@click.option("--phase", default="0", help="Squeezing phase (pi-literals allowed).")
-@click.option("--absolute-phase", is_flag=True, default=False, help="Treat --phase as absolute phi_s instead of the offset phi_s - 2 arg(xi).")
-@click.pass_obj
-@click.pass_context
-def recoil(ctx, common, axis, kind, beams, perfect_overlap, db, phase, absolute_phase):
+@command("recoil")
+def recoil(run, opt):
     """Recoil-heating ratio versus squeezing degree."""
-    section = common.section("recoil")
-    common.resolve_common(ctx, section)
-    axis = _effective(ctx, section, "axis", axis)
-    kind = _effective(ctx, section, "kind", kind)
-    db = _effective(ctx, section, "db", db)
-    phase = _effective(ctx, section, "phase", phase)
-    absolute_phase = bool(_effective(ctx, section, "absolute_phase", absolute_phase))
-    if ctx.get_parameter_source("beams").name != "COMMANDLINE" and "beams" in section:
-        beams = tuple(section["beams"])
-    perfect_overlap = bool(_effective(ctx, section, "perfect_overlap", perfect_overlap))
-    if not beams and not perfect_overlap:
-        perfect_overlap = True
-
-    beam_params = {}
-    for spec in beams:
-        parsed = parse_beam_spec(spec)
-        beam_params[parsed.pop("label")] = parsed
-    db_values = parse_db_range(db)
-    phi = parse_phase(phase)
+    opt.perfect_overlap = opt.perfect_overlap or not opt.beams
+    beams = {}
+    for spec in opt.beams:
+        params = parse_beam_spec(spec)
+        beams[params.pop("label")] = params
+    db_values = parse_db_range(opt.db)
     header, rows, overlaps = squeeze.recoil_sweep(
-        beam_params,
-        axis,
+        beams,
+        opt.axis,
         [squeeze.db_to_r(v) for v in db_values],
-        phi=phi,
-        kind=kind,
-        include_perfect=perfect_overlap,
-        rule=common.rule,
-        absolute_phase=absolute_phase,
+        phi=parse_number(opt.phase, "phase"),
+        kind=opt.kind,
+        include_perfect=opt.perfect_overlap,
+        rule=run.rule,
+        absolute_phase=opt.absolute_phase,
     )
     header[0] = "r_db"
     for row, dbv in zip(rows, db_values):
         row[0] = dbv
-    write_csv(common.path("recoil.csv"), header, rows)
+    write_csv(run.path("recoil.csv"), header, rows)
 
-    meta = {
-        "overlaps": {
-            label: {"re": xi.real, "im": xi.imag, "modulus": abs(xi)}
-            for label, xi in overlaps.items()
-        },
-    }
-    derived = _derived_report(common)
+    meta = {"overlaps": {k: {"re": xi.real, "im": xi.imag, "modulus": abs(xi)} for k, xi in overlaps.items()}}
+    derived = run.derived_report()
     if derived is not None:
         meta["derived"] = derived
-    write_json(common.path("recoil_params.json"), meta)
-    resolved = {
-        "axis": axis,
-        "kind": kind,
-        "beams": list(beams),
-        "perfect_overlap": perfect_overlap,
-        "db": db,
-        "phase": str(phase),
-        "absolute_phase": absolute_phase,
-        **common.common_echo(),
-    }
-    _echo_config(common, "recoil", resolved)
+    write_json(run.path("recoil_params.json"), meta)
 
 
-@cli.command()
-@click.option("--axis", default="z")
-@click.option("--kind", default="motion")
-@click.option("--beam", default="na=0.9,axis=-z", help="Beam spec na=...,axis=...,pol=...")
-@click.option("--db", default="15", help="Squeezing in dB (single value).")
-@click.option("--phase", default="0", help="Phase offset phi_s - 2 arg(xi).")
-@click.option("--grid", default="181x360", help="Export grid NTHETAxNPHI.")
-@click.pass_obj
-@click.pass_context
-def irp(ctx, common, axis, kind, beam, db, phase, grid):
+@command("irp")
+def irp(run, opt):
     """Differential cross section and information radiation pattern."""
-    section = common.section("irp")
-    common.resolve_common(ctx, section)
-    axis = _effective(ctx, section, "axis", axis)
-    kind = _effective(ctx, section, "kind", kind)
-    beam = _effective(ctx, section, "beam", beam)
-    db = _effective(ctx, section, "db", db)
-    phase = _effective(ctx, section, "phase", phase)
-    grid = _effective(ctx, section, "grid", grid)
-
-    params = parse_beam_spec(beam)
+    params = parse_beam_spec(opt.beam)
     params.pop("label")
-    beam_dist = make_gaussian_beam(
-        na=params["na"],
-        propagation_axis=np.asarray(params["axis"]),
-        polarization_angle=params["polarization_angle"],
-        rule=common.rule,
-    )
-    mode = _mode_distribution(kind, axis, common.rule)
-    r_s = squeeze.db_to_r(float(db))
     cfg = scatter.ScatterConfig(
-        mode=mode,
-        beam=beam_dist,
-        sq=squeeze.SqueezeParams(r_s=r_s, phi_s=parse_phase(phase)),
+        mode=make_mode(opt.kind, opt.axis, run.rule),
+        beam=make_beam(**params, rule=run.rule),
+        sq=squeeze.SqueezeParams(
+            r_s=squeeze.db_to_r(parse_number(opt.db, "db")), phi_s=parse_number(opt.phase, "phase")
+        ),
         absolute_phase=False,
-        rule=common.rule,
+        rule=run.rule,
     )
-    try:
-        n_theta, n_phi = (int(p) for p in str(grid).lower().split("x"))
-    except ValueError:
-        raise ConfigError(f"grid spec must look like 181x360, got {grid!r}") from None
+    n_theta, n_phi = parse_grid(opt.grid, "irp grid")
     result = scatter.irp_grid(cfg, n_theta=n_theta, n_phi=n_phi)
 
-    rows = []
-    for i, theta in enumerate(result.theta):
-        for j, phi_v in enumerate(result.phi):
-            rows.append(
-                [
-                    theta,
-                    phi_v,
-                    result.dsigma[i, j],
-                    result.irp[i, j],
-                    result.f_plus_sq[i, j],
-                    result.f_minus_sq[i, j],
-                ]
-            )
+    theta, phi = np.meshgrid(result.theta, result.phi, indexing="ij")
+    columns = (theta, phi, result.dsigma, result.irp, result.f_plus_sq, result.f_minus_sq)
     write_csv(
-        common.path("irp.csv"),
+        run.path("irp.csv"),
         ["theta", "phi", "dsigma", "irp", "f_plus_sq", "f_minus_sq"],
-        rows,
+        np.column_stack([c.ravel() for c in columns]).tolist(),
     )
-    write_json(
-        common.path("irp_meta.json"),
-        {"normalization": result.normalization, **result.metadata},
-    )
-    resolved = {
-        "axis": axis,
-        "kind": kind,
-        "beam": beam,
-        "db": str(db),
-        "phase": str(phase),
-        "grid": grid,
-        **common.common_echo(),
-    }
-    _echo_config(common, "irp", resolved)
+    write_json(run.path("irp_meta.json"), {"normalization": result.normalization, **result.metadata})
 
 
-@cli.command()
-@click.option("--xi", default=1.0, type=float, help="Overlap modulus |xi|.")
-@click.option("--db", default="15", help="Squeezing in dB.")
-@click.option("--phase", default="3pi/2", help="Phase offset phi_s - 2 arg(xi).")
-@click.option("--omega-ratio", default=1e-3, type=float, help="omega / mode frequency.")
-@click.option("--gamma-ratio", default=1e-6, type=float, help="damping / mode frequency.")
-@click.option("--u", "u_range", default="1e-4:1e4:200", help="Log grid lo:hi:n for the measurement strength.")
-@click.option("--heatmap", is_flag=True, default=False, help="Emit the (e^2r, |xi|^2) optimal-sensitivity table instead of a u-curve.")
-@click.option("--heatmap-grid", default="25x26", help="Heatmap resolution N_E2RxN_XI2.")
-@click.pass_obj
-@click.pass_context
-def sensitivity(ctx, common, xi, db, phase, omega_ratio, gamma_ratio, u_range, heatmap, heatmap_grid):
+@command("sensitivity")
+def sensitivity(run, opt):
     """Minimum detectable signal relative to the standard quantum limit."""
-    section = common.section("sensitivity")
-    common.resolve_common(ctx, section)
-    xi = float(_effective(ctx, section, "xi", xi))
-    db = _effective(ctx, section, "db", db)
-    phase = _effective(ctx, section, "phase", phase)
-    omega_ratio = float(_effective(ctx, section, "omega_ratio", omega_ratio))
-    gamma_ratio = float(_effective(ctx, section, "gamma_ratio", gamma_ratio))
-    u_range = _effective(ctx, section, "u_range", u_range)
-    heatmap = bool(_effective(ctx, section, "heatmap", heatmap))
-    heatmap_grid = _effective(ctx, section, "heatmap_grid", heatmap_grid)
-
-    r_s = squeeze.db_to_r(float(db))
-    chi = detect.Susceptibility(
-        omega=omega_ratio, mode_frequency=1.0, damping=gamma_ratio
-    )
-    if heatmap:
-        try:
-            n_e2r, n_xi2 = (int(p) for p in str(heatmap_grid).lower().split("x"))
-        except ValueError:
-            raise ConfigError(f"heatmap grid must look like 25x26, got {heatmap_grid!r}") from None
+    r_s = squeeze.db_to_r(parse_number(opt.db, "db"))
+    chi = detect.Susceptibility(omega=opt.omega_ratio, mode_frequency=1.0, damping=opt.gamma_ratio)
+    if opt.heatmap:
+        n_e2r, n_xi2 = parse_grid(opt.heatmap_grid, "heatmap grid")
         e2r_values = np.linspace(1.0, math.exp(2.0 * r_s), n_e2r)
         xi2_values = np.linspace(0.0, 1.0, n_xi2)
         header, rows = detect.sensitivity_heatmap(e2r_values, xi2_values, chi)
-        write_csv(common.path("sensitivity.csv"), header, rows)
-    else:
-        parts = str(u_range).split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"u grid must be lo:hi:n, got {u_range!r}")
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-        if lo <= 0 or hi <= lo or n < 2:
-            raise ConfigError("u grid requires 0 < lo < hi and n >= 2")
-        spectra = detect.input_spectra(
-            squeeze.OverlapResult(xi=xi),
-            squeeze.SqueezeParams(r_s=r_s, phi_s=parse_phase(phase)),
-            absolute_phase=False,
-        )
-        u_values = np.geomspace(lo, hi, n)
-        rows = detect.sensitivity_curve(spectra, chi, u_values)
-        write_csv(common.path("sensitivity.csv"), ["u", "s_min_over_sql"], rows)
-        u_opt, value = detect.s_min_opt_u(spectra, chi)
-        write_json(
-            common.path("sensitivity_meta.json"),
-            {
-                "u_opt": u_opt,
-                "s_min_opt": value,
-                "sxx": spectra.sxx,
-                "syy": spectra.syy,
-                "scross": spectra.scross,
-            },
-        )
-    resolved = {
-        "xi": xi,
-        "db": str(db),
-        "phase": str(phase),
-        "omega_ratio": omega_ratio,
-        "gamma_ratio": gamma_ratio,
-        "u_range": u_range,
-        "heatmap": heatmap,
-        "heatmap_grid": heatmap_grid,
-        **common.common_echo(),
-    }
-    _echo_config(common, "sensitivity", resolved)
+        write_csv(run.path("sensitivity.csv"), header, rows)
+        return
+    try:
+        lo, hi, n = str(opt.u_range).split(":")
+        n = int(n)
+    except ValueError:
+        raise ConfigError(f"u grid must be lo:hi:n, got {opt.u_range!r}") from None
+    lo, hi = parse_number(lo, "u grid bound"), parse_number(hi, "u grid bound")
+    if lo <= 0 or hi <= lo or n < 2:
+        raise ConfigError("u grid requires 0 < lo < hi and n >= 2")
+    spectra = detect.input_spectra(
+        squeeze.OverlapResult(xi=opt.xi),
+        squeeze.SqueezeParams(r_s=r_s, phi_s=parse_number(opt.phase, "phase")),
+        absolute_phase=False,
+    )
+    rows = detect.sensitivity_curve(spectra, chi, np.geomspace(lo, hi, n))
+    write_csv(run.path("sensitivity.csv"), ["u", "s_min_over_sql"], rows)
+    u_opt, value = detect.s_min_opt_u(spectra, chi)
+    meta = {"u_opt": u_opt, "s_min_opt": value, "sxx": spectra.sxx, "syy": spectra.syy, "scross": spectra.scross}
+    write_json(run.path("sensitivity_meta.json"), meta)
 
 
-@cli.command("optimize")
-@click.option("--objective", default="recoil_ratio", help="recoil_ratio or s_min_opt.")
-@click.option("--kind", default="motion")
-@click.option("--axis", default="z")
-@click.option("--db", default="15")
-@click.option("--free", "free_specs", multiple=True, help="Free parameter name=lo:hi (repeatable).")
-@click.option("--fixed", "fixed_specs", multiple=True, help="Fixed parameter name=value (repeatable).")
-@click.option("--budget", default=200, type=int, help="Max objective evaluations.")
-@click.pass_obj
-@click.pass_context
-def optimize_cmd(ctx, common, objective, kind, axis, db, free_specs, fixed_specs, budget):
+def _split_spec(spec, what):
+    if "=" not in spec:
+        raise ConfigError(f"{what} spec {spec!r} is not name=value")
+    name, value = spec.split("=", 1)
+    return name.strip(), value
+
+
+@command("optimize")
+def optimize_cmd(run, opt):
     """Search beam parameters minimizing recoil or optimized sensitivity."""
-    section = common.section("optimize")
-    common.resolve_common(ctx, section)
-    objective = _effective(ctx, section, "objective", objective)
-    kind = _effective(ctx, section, "kind", kind)
-    axis = _effective(ctx, section, "axis", axis)
-    db = _effective(ctx, section, "db", db)
-    budget = int(_effective(ctx, section, "budget", budget))
-    if ctx.get_parameter_source("free_specs").name != "COMMANDLINE" and "free" in section:
-        free_specs = tuple(section["free"])
-    if ctx.get_parameter_source("fixed_specs").name != "COMMANDLINE" and "fixed" in section:
-        fixed_specs = tuple(section["fixed"])
-
     free = {}
-    for spec in free_specs:
-        if "=" not in spec:
-            raise ConfigError(f"free spec {spec!r} is not name=lo:hi")
-        name, bounds = spec.split("=", 1)
+    for spec in opt.free:
+        name, bounds = _split_spec(spec, "free")
         parts = bounds.split(":")
         if len(parts) != 2:
             raise ConfigError(f"free bounds {bounds!r} must be lo:hi")
-        free[name.strip()] = (parse_phase(parts[0]), parse_phase(parts[1]))
+        free[name] = tuple(parse_number(p, f"{name} bound") for p in parts)
     fixed = {}
-    for spec in fixed_specs:
-        if "=" not in spec:
-            raise ConfigError(f"fixed spec {spec!r} is not name=value")
-        name, value = spec.split("=", 1)
-        fixed[name.strip()] = parse_phase(value)
+    for spec in opt.fixed:
+        name, value = _split_spec(spec, "fixed")
+        fixed[name] = parse_number(value, name)
     if not free:
         raise ConfigError("at least one --free parameter is required")
 
     problem = OptimizationProblem(
-        objective=objective,
-        mode_kind=kind,
-        mode_axis=axis,
-        r_s=squeeze.db_to_r(float(db)),
+        objective=opt.objective,
+        mode_kind=opt.kind,
+        mode_axis=opt.axis,
+        r_s=squeeze.db_to_r(parse_number(opt.db, "db")),
         free=free,
         fixed=fixed,
-        rule=common.rule,
+        rule=run.rule,
     )
-    result = run_optimize(problem, budget=budget, seed=common.seed)
-    write_json(
-        common.path("optimize_result.json"),
-        {
-            "best_params": result.best_params,
-            "best_value": result.best_value,
-            "xi_modulus": result.xi_modulus,
-            "evaluations": result.evaluations,
-        },
-    )
+    result = run_optimize(problem, budget=opt.budget, seed=run.seed)
+    summary = {name: getattr(result, name) for name in ("best_params", "best_value", "xi_modulus", "evaluations")}
+    write_json(run.path("optimize_result.json"), summary)
     write_csv(
-        common.path("optimize_trace.csv"),
+        run.path("optimize_trace.csv"),
         ["evaluation", "objective"],
         [[i, v] for i, v in enumerate(result.trace)],
     )
-    resolved = {
-        "objective": objective,
-        "kind": kind,
-        "axis": axis,
-        "db": str(db),
-        "free": list(free_specs),
-        "fixed": list(fixed_specs),
-        "budget": budget,
-        **common.common_echo(),
-    }
-    _echo_config(common, "optimize", resolved)
 
 
-@cli.command()
-@click.option("--source", default="bare", help="bare (squeezed mode) or input (interacting mode).")
-@click.option("--db", default="15")
-@click.option("--phase", default="0", help="Squeeze phase (bare) or offset phi_s - 2 arg(xi) (input).")
-@click.option("--xi", default=1.0, type=float, help="Overlap modulus (input source only).")
-@click.option("--grid-n", default=101, type=int, help="Grid points per quadrature axis.")
-@click.pass_obj
-@click.pass_context
-def wigner(ctx, common, source, db, phase, xi, grid_n):
+@command("wigner")
+def wigner(run, opt):
     """Gaussian Wigner function of the squeezed input light."""
-    section = common.section("wigner")
-    common.resolve_common(ctx, section)
-    source = _effective(ctx, section, "source", source)
-    db = _effective(ctx, section, "db", db)
-    phase = _effective(ctx, section, "phase", phase)
-    xi = float(_effective(ctx, section, "xi", xi))
-    grid_n = int(_effective(ctx, section, "grid_n", grid_n))
-
-    r_s = squeeze.db_to_r(float(db))
-    phi = parse_phase(phase)
-    if source == "bare":
+    r_s = squeeze.db_to_r(parse_number(opt.db, "db"))
+    phi = parse_number(opt.phase, "phase")
+    if opt.source == "bare":
         cov = detect.wigner_covariance("bare-squeezed-mode", r=r_s, phi=phi)
-    elif source == "input":
+    elif opt.source == "input":
         spectra = detect.input_spectra(
-            squeeze.OverlapResult(xi=xi),
+            squeeze.OverlapResult(xi=opt.xi),
             squeeze.SqueezeParams(r_s=r_s, phi_s=phi),
             absolute_phase=False,
         )
         cov = detect.wigner_covariance("interacting-input", spectra=spectra)
     else:
-        raise ConfigError(f"wigner source must be bare or input, got {source!r}")
-    x, y, w = detect.wigner_grid(cov, n=grid_n)
-    rows = []
-    for i, xv in enumerate(x):
-        for j, yv in enumerate(y):
-            rows.append([xv, yv, w[i, j]])
-    write_csv(common.path("wigner.csv"), ["x", "y", "w"], rows)
-    write_json(
-        common.path("wigner_covariance.json"),
-        {
-            "covariance": [[cov[0, 0], cov[0, 1]], [cov[1, 0], cov[1, 1]]],
-            "determinant": float(np.linalg.det(cov)),
-            "source": source,
-        },
-    )
-    resolved = {
-        "source": source,
-        "db": str(db),
-        "phase": str(phase),
-        "xi": xi,
-        "grid_n": grid_n,
-        **common.common_echo(),
-    }
-    _echo_config(common, "wigner", resolved)
+        raise ConfigError(f"wigner source must be bare or input, got {opt.source!r}")
+    x, y, w = detect.wigner_grid(cov, n=opt.grid_n)
+    xx, yy = np.meshgrid(x, y, indexing="ij")
+    rows = np.column_stack([xx.ravel(), yy.ravel(), w.ravel()]).tolist()
+    write_csv(run.path("wigner.csv"), ["x", "y", "w"], rows)
+    meta = {"covariance": cov.tolist(), "determinant": float(np.linalg.det(cov)), "source": opt.source}
+    write_json(run.path("wigner_covariance.json"), meta)
 
 
 def main(argv=None):
@@ -606,10 +509,10 @@ def main(argv=None):
     except click.ClickException as exc:
         exc.show()
         return 2
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         click.echo(f"configuration error: {exc}", err=True)
         return 2
-    except NumericalFailure as exc:
+    except (NumericalFailure, OverflowError) as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         return 3
     return 0

@@ -2,7 +2,8 @@
 
 All files are written atomically (temp file + rename) with LF line endings
 and locale-independent number formatting, so repeated runs with identical
-inputs are byte-identical.
+inputs are byte-identical. A NaN or infinity never reaches a file: both
+writers raise NumericalFailure instead, before writing anything.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+
+from .errors import NumericalFailure
 
 NUMBER_FORMAT = "%.12g"
 
@@ -37,11 +40,17 @@ def _atomic_write(path, text):
 
 
 def write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_number(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    body = "".join(",".join(format_number(v) for v in row) + "\n" for row in rows)
+    # NUMBER_FORMAT prints non-finite values as nan, inf or -inf, the only
+    # cells holding an "n", so one scan of the body finds them all.
+    if "n" in body:
+        raise NumericalFailure(f"non-finite value in {os.path.basename(path)}")
+    _atomic_write(path, ",".join(header) + "\n" + body)
 
 
 def write_json(path, payload):
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # allow_nan=False: NaN or infinity in the payload
+        raise NumericalFailure(f"{os.path.basename(path)}: {exc}") from None
+    _atomic_write(path, text + "\n")

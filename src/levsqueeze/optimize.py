@@ -17,14 +17,7 @@ import numpy as np
 from scipy import optimize as sopt
 from scipy.stats import qmc
 
-from .angular import (
-    DEFAULT_RULE,
-    QuadratureRule,
-    make_gaussian_beam,
-    make_libration_distribution,
-    make_motion_distribution,
-    superpose,
-)
+from .angular import DEFAULT_RULE, QuadratureRule, make_beam, make_mode
 from .detect import input_spectra, low_frequency_susceptibility, s_min_opt_u
 from .errors import ConfigError
 from .squeeze import OverlapResult, SqueezeParams, mode_overlap, recoil_ratio
@@ -95,13 +88,7 @@ class _Evaluator:
 
     def __init__(self, problem: OptimizationProblem):
         self.problem = problem
-        p = problem
-        if p.mode_kind == "motion":
-            self.mode = make_motion_distribution(p.mode_axis, rule=p.rule)
-        elif p.mode_kind == "libration":
-            self.mode = make_libration_distribution(p.mode_axis, rule=p.rule)
-        else:
-            raise ConfigError("mode_kind must be motion or libration")
+        self.mode = make_mode(problem.mode_kind, problem.mode_axis, rule=problem.rule)
         self.chi = low_frequency_susceptibility(1.0)
         self._cache = {}
         self.count = 0
@@ -133,25 +120,13 @@ class _Evaluator:
                 math.cos(params["axis_theta"]),
             ]
         )
-        beam = make_gaussian_beam(
+        beam = make_beam(
             na=params["na"],
-            propagation_axis=axis,
+            axis=axis,
             polarization_angle=params["polarization_angle"],
+            weight=params["weight"],
             rule=self.problem.rule,
         )
-        w = params["weight"]
-        if w > 0.0:
-            partner = make_gaussian_beam(
-                na=params["na"],
-                propagation_axis=-axis,
-                polarization_angle=params["polarization_angle"],
-                rule=self.problem.rule,
-            )
-            beam = superpose(
-                [beam, partner],
-                [math.sqrt(1.0 - w), math.sqrt(w)],
-                rule=self.problem.rule,
-            )
         result = mode_overlap(beam, self.mode)
         self._cache[key] = result
         return result

@@ -16,9 +16,8 @@ from .angular import (
     AngularDistribution,
     DEFAULT_RULE,
     QuadratureRule,
-    make_gaussian_beam,
-    make_libration_distribution,
-    make_motion_distribution,
+    make_beam,
+    make_mode,
     overlap,
 )
 from .errors import ConfigError
@@ -139,15 +138,6 @@ def cross_rate(
     return value
 
 
-def _beam_for(params: dict, rule: QuadratureRule) -> AngularDistribution:
-    return make_gaussian_beam(
-        na=params["na"],
-        propagation_axis=np.asarray(params.get("axis", [0.0, 0.0, -1.0]), dtype=float),
-        polarization_angle=params.get("polarization_angle", 0.0),
-        rule=rule,
-    )
-
-
 def recoil_sweep(
     beams: dict[str, dict] | None,
     axis: str,
@@ -164,20 +154,14 @@ def recoil_sweep(
     polarization_angle). phi is the phase offset Phi = phi_s - 2 psi by
     default (absolute_phase=False). Returns (header, rows, overlaps).
     """
-    if kind == "motion":
-        mode = make_motion_distribution(axis, rule=rule)
-    elif kind == "libration":
-        mode = make_libration_distribution(axis, rule=rule)
-    else:
-        raise ConfigError(f"mode kind must be motion or libration, got {kind!r}")
-
+    mode = make_mode(kind, axis, rule=rule)
     columns = []
     overlaps = {}
     if include_perfect:
         columns.append(("ratio_perfect", OverlapResult(xi=1.0 + 0.0j)))
         overlaps["ratio_perfect"] = 1.0 + 0.0j
     for label, params in (beams or {}).items():
-        res = mode_overlap(_beam_for(params, rule), mode)
+        res = mode_overlap(make_beam(**params, rule=rule), mode)
         columns.append((f"ratio_{label}", res))
         overlaps[f"ratio_{label}"] = res.xi
 

@@ -167,3 +167,21 @@ def test_tabulated_rejects_wrong_grid(tmp_path):
     )
     with pytest.raises(ConfigError):
         angular.load_tabulated(path, rule=rule)
+
+
+def test_make_mode_dispatches_on_kind():
+    assert angular.make_mode("motion", "x").label == "motion_x"
+    assert angular.make_mode("libration", "y").label == "libration_y"
+    with pytest.raises(ConfigError):
+        angular.make_mode("breathing", "z")
+
+
+def test_make_beam_weight_mixes_counterpropagating_pair():
+    single = angular.make_beam(0.6, [0, 0, -1], polarization_angle=0.4)
+    reference = angular.make_gaussian_beam(na=0.6, propagation_axis=[0, 0, -1], polarization_angle=0.4)
+    mode = angular.make_motion_distribution("z")
+    assert angular.overlap(single, mode) == angular.overlap(reference, mode)
+    pair = angular.make_beam(0.6, [0, 0, -1], polarization_angle=0.4, weight=0.3)
+    assert pair.is_normalized and pair.support_axis is not None
+    with pytest.raises(ConfigError):
+        angular.make_beam(0.6, weight=1.5)

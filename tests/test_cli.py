@@ -3,11 +3,14 @@ import json
 import math
 import os
 
+import jsonschema
 import numpy as np
 import pytest
 
-from levsqueeze.cli import main, parse_beam_spec, parse_db_range, parse_phase, parse_quad
-from levsqueeze.errors import ConfigError
+from levsqueeze import cli
+from levsqueeze.cli import OPTIONS, config_schema, main, parse_beam_spec, parse_db_range, parse_number, parse_quad
+from levsqueeze.errors import ConfigError, NumericalFailure
+from levsqueeze.io import write_csv, write_json
 
 
 def run(tmp_path, *args):
@@ -15,14 +18,14 @@ def run(tmp_path, *args):
 
 
 def test_parse_phase_pi_literals():
-    assert parse_phase("pi") == math.pi
-    assert parse_phase("3pi/2") == 3.0 * math.pi / 2.0
-    assert parse_phase("-pi/4") == -math.pi / 4.0
-    assert parse_phase("2pi") == 2.0 * math.pi
-    assert parse_phase("0.25") == 0.25
-    assert parse_phase(1.5) == 1.5
+    assert parse_number("pi") == math.pi
+    assert parse_number("3pi/2") == 3.0 * math.pi / 2.0
+    assert parse_number("-pi/4") == -math.pi / 4.0
+    assert parse_number("2pi") == 2.0 * math.pi
+    assert parse_number("0.25") == 0.25
+    assert parse_number(1.5) == 1.5
     with pytest.raises(ConfigError):
-        parse_phase("threepi")
+        parse_number("threepi")
 
 
 def test_parse_helpers():
@@ -74,6 +77,68 @@ def test_exit_code_config_error(tmp_path):
     assert run(tmp_path, "recoil", "--beam", "na=zzz") == 2
     assert run(tmp_path, "recoil", "--db", "-5") == 2
     assert main(["--out", str(tmp_path), "unknown-command"]) == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["recoil", "--phase", "pi/0"],
+        ["recoil", "--db", "nan"],
+        ["recoil", "--db", "inf"],
+        ["recoil", "--db", "0:1e400:1"],
+        ["recoil", "--beam", "na=nan"],
+        ["recoil", "--beam", "na=0.5,pol=inf"],
+        ["sensitivity", "--phase", "inf"],
+        ["sensitivity", "--xi", "nan"],
+        ["sensitivity", "--omega-ratio", "inf"],
+        ["sensitivity", "--gamma-ratio", "nan"],
+        ["sensitivity", "--u", "1e-4:inf:20"],
+        ["sensitivity", "--u", "1:10:x"],
+        ["sensitivity", "--heatmap", "--heatmap-grid", "0x0"],
+        ["irp", "--grid", "axb"],
+        ["optimize", "--free", "na=0.1:nan"],
+        ["optimize", "--free", "na=0.1:0.9", "--fixed", "phi=inf"],
+        ["optimize", "--free", "na=0.1:0.9", "--fixed", "weight=2", "--budget", "20"],
+        ["--seed", "-1", "optimize", "--free", "na=0.1:0.9"],
+    ],
+)
+def test_bad_numbers_exit_2(tmp_path, args):
+    assert run(tmp_path, *args) == 2
+    assert not any(name.endswith(".csv") for name in os.listdir(tmp_path))
+
+
+def test_db_range_never_passes_stop():
+    values = parse_db_range("0:20:0.3")
+    assert values[-1] == pytest.approx(19.8) and len(values) == 67
+    values = parse_db_range("0:20:0.5")
+    assert len(values) == 41 and values[-1] == 20.0
+
+
+@pytest.mark.parametrize("command", ["recoil", "irp", "wigner", "sensitivity"])
+def test_overflow_exits_3(tmp_path, command):
+    extra = {"irp": ["--grid", "4x4"], "wigner": ["--grid-n", "5"]}.get(command, [])
+    assert run(tmp_path, "--quad", "16x32", command, "--db", "5000", *extra) == 3
+    assert os.listdir(tmp_path) == []
+
+
+def test_writers_reject_nonfinite(tmp_path):
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NumericalFailure):
+            write_csv(tmp_path / "t.csv", ["a", "b"], [[1.0, 2.0], [bad, 3.0]])
+        with pytest.raises(NumericalFailure):
+            write_json(tmp_path / "t.json", {"nested": [1.0, bad]})
+    assert os.listdir(tmp_path) == []
+    write_csv(tmp_path / "t.csv", ["a", "flag"], [[1e300, True], [-2, False]])
+    assert (tmp_path / "t.csv").read_text() == "a,flag\n1e+300,true\n-2,false\n"
+
+
+def test_internal_value_error_is_not_a_config_error(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(cli.squeeze, "recoil_sweep", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        run(tmp_path, "recoil")
 
 
 def test_exit_code_invalid_config_file(tmp_path):
@@ -137,20 +202,46 @@ def test_cli_rerun_byte_identical(tmp_path):
         assert filecmp.cmp(a / name, b / name, shallow=False), name
 
 
-def test_config_file_round_trip(tmp_path):
-    first = tmp_path / "first"
-    second = tmp_path / "second"
-    first.mkdir(), second.mkdir()
-    code = main([
-        "--out", str(first), "--quad", "32x64",
-        "recoil", "--beam", "na=0.8,axis=-z", "--db", "0:15:5", "--phase", "pi",
-    ])
-    assert code == 0
-    code = main([
-        "--config", str(first / "recoil_config.json"), "--out", str(second), "recoil",
-    ])
-    assert code == 0
-    assert filecmp.cmp(first / "recoil.csv", second / "recoil.csv", shallow=False)
+ROUND_TRIP = {
+    "recoil": ["--quad", "32x64", "recoil", "--beam", "na=0.8,axis=-z", "--db", "0:15:5", "--phase", "pi"],
+    "irp": ["--quad", "16x32", "irp", "--beam", "na=0.9,axis=-y,pol=pi/4", "--db", "13", "--grid", "6x8"],
+    "sensitivity": ["sensitivity", "--xi", "0.8", "--db", "10", "--phase", "pi/3", "--u", "1e-2:1e2:20"],
+    "heatmap": ["sensitivity", "--heatmap", "--db", "12", "--heatmap-grid", "4x5"],
+    "optimize": [
+        "--seed", "4", "--quad", "16x32", "optimize",
+        "--free", "na=0.3:0.9", "--fixed", "phi=pi/2", "--budget", "20",
+    ],
+    "wigner": ["wigner", "--source", "input", "--xi", "0.7", "--db", "6", "--phase", "pi/4", "--grid-n", "9"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROUND_TRIP))
+def test_config_file_round_trip(tmp_path, case):
+    """The echoed config passes the typed schema and, given as --config with
+    no flags, reproduces every artifact (the echo included) byte for byte."""
+    args = ROUND_TRIP[case]
+    command = next(a for a in args if a in OPTIONS)
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["--out", str(first), *args]) == 0
+    echo = first / f"{command}_config.json"
+    jsonschema.validate(json.loads(echo.read_text()), config_schema())
+    assert main(["--config", str(echo), "--out", str(second), command]) == 0
+    assert sorted(os.listdir(first)) == sorted(os.listdir(second))
+    for name in os.listdir(first):
+        assert filecmp.cmp(first / name, second / name, shallow=False), name
+
+
+@pytest.mark.parametrize(
+    "section, unknown",
+    [({"recoil": {"dbb": "3", "phse": "pi"}}, ["dbb", "phse"]), ({"recoil": {"threads": 2}}, ["threads"])],
+)
+def test_unknown_config_key_exits_2(tmp_path, capsys, section, unknown):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps(section))
+    assert main(["--config", str(config), "--out", str(tmp_path), "recoil"]) == 2
+    err = capsys.readouterr().err
+    assert all(repr(key) in err for key in unknown)
+    assert not (tmp_path / "recoil.csv").exists()
 
 
 def test_flag_beats_config(tmp_path):
