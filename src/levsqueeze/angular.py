@@ -55,25 +55,6 @@ def angles_from_vectors(v):
     return theta, phi
 
 
-@dataclass(frozen=True)
-class Direction:
-    """A propagation direction given by polar/azimuthal angles in radians."""
-
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.theta <= np.pi):
-            raise ConfigError(f"theta must lie in [0, pi], got {self.theta}")
-        if not (0.0 <= self.phi < 2.0 * np.pi):
-            raise ConfigError(f"phi must lie in [0, 2*pi), got {self.phi}")
-
-    @property
-    def unit_vector(self):
-        e_k, _, _ = spherical_basis(self.theta, self.phi)
-        return e_k
-
-
 def rotation_to_axis(axis):
     """Rotation matrix mapping e_z onto `axis` (minimal rotation).
 
@@ -192,7 +173,6 @@ class AngularDistribution:
         params=None,
         normalize=True,
         rule=DEFAULT_RULE,
-        grid_locked=False,
     ):
         self.label = label
         self._func = func
@@ -202,9 +182,8 @@ class AngularDistribution:
             else np.asarray(support_axis, float) / np.linalg.norm(support_axis)
         )
         self.params = dict(params or {})
-        self.grid_locked = grid_locked
         self.norm_rule = rule
-        raw = integrate_sphere(self._abs2, rule, axis=self._own_axis())
+        raw = integrate_sphere(self._abs2, rule, axis=self.support_axis)
         self.prenormalization_norm = float(np.sqrt(raw.real))
         if normalize:
             self._scale = 1.0 / self.prenormalization_norm
@@ -212,9 +191,6 @@ class AngularDistribution:
         else:
             self._scale = 1.0
             self.norm_squared = float(raw.real)
-
-    def _own_axis(self):
-        return None if self.grid_locked else self.support_axis
 
     def _abs2(self, theta, phi):
         a = np.asarray(self._func(theta, phi))
@@ -230,8 +206,6 @@ class AngularDistribution:
 
 
 def _integration_axis(a: AngularDistribution, b: AngularDistribution):
-    if a.grid_locked or b.grid_locked:
-        return None
     if a.support_axis is not None:
         return a.support_axis
     return b.support_axis
@@ -408,8 +382,6 @@ def rotated(dist: AngularDistribution, rotation, rule=None):
     transverse field vector is rotated, then re-expressed in the global
     (e_theta, e_phi) basis.
     """
-    if dist.grid_locked:
-        raise ConfigError("tabulated distributions cannot be rotated")
     rot = np.asarray(rotation, float)
     if rot.shape != (3, 3) or not np.allclose(rot @ rot.T, np.eye(3), atol=1e-12):
         raise ConfigError("rotation must be a 3x3 orthogonal matrix")
@@ -456,62 +428,3 @@ def superpose(distributions, weights, label="superposition", rule=DEFAULT_RULE):
         if all(abs(abs(np.dot(a, axes[0])) - 1.0) < 1e-12 for a in axes):
             axis = axes[0]
     return AngularDistribution(label, func, support_axis=axis, rule=rule)
-
-
-def load_tabulated(path, rule=DEFAULT_RULE):
-    """Load a custom distribution tabulated on the rule's node grid.
-
-    CSV columns: theta, phi, re_a_theta, im_a_theta, re_a_phi, im_a_phi
-    (header row required), one row per node of `rule.nodes()` in any
-    order.  The distribution is renormalized; the pre-normalization norm
-    is available as `prenormalization_norm`.
-    """
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    required = ("theta", "phi", "re_a_theta", "im_a_theta", "re_a_phi", "im_a_phi")
-    names = data.dtype.names or ()
-    missing = [c for c in required if c not in names]
-    if missing:
-        raise ConfigError(f"tabulated file {path} missing columns: {', '.join(missing)}")
-    theta_n, phi_n, _ = rule.nodes()
-    values = np.empty((2, theta_n.size), dtype=complex)
-    order = np.lexsort((phi_n, theta_n))
-    file_order = np.lexsort((np.atleast_1d(data["phi"]), np.atleast_1d(data["theta"])))
-    if np.atleast_1d(data["theta"]).size != theta_n.size:
-        raise ConfigError(
-            f"tabulated file {path} has {np.atleast_1d(data['theta']).size} rows, "
-            f"rule requires {theta_n.size}"
-        )
-    t_sorted = np.atleast_1d(data["theta"])[file_order]
-    p_sorted = np.atleast_1d(data["phi"])[file_order]
-    if not (
-        np.allclose(t_sorted, theta_n[order], atol=1e-9)
-        and np.allclose(p_sorted, phi_n[order], atol=1e-9)
-    ):
-        raise ConfigError(f"tabulated file {path} does not match the rule's node grid")
-    values[0, order] = (
-        np.atleast_1d(data["re_a_theta"]) + 1j * np.atleast_1d(data["im_a_theta"])
-    )[file_order]
-    values[1, order] = (
-        np.atleast_1d(data["re_a_phi"]) + 1j * np.atleast_1d(data["im_a_phi"])
-    )[file_order]
-
-    key = np.stack([theta_n, phi_n])
-
-    def func(theta, phi):
-        theta = np.asarray(theta, float)
-        phi = np.asarray(phi, float)
-        if theta.shape != key[0].shape or not (
-            np.allclose(theta, key[0], atol=1e-9) and np.allclose(phi, key[1], atol=1e-9)
-        ):
-            raise NumericalFailure(
-                "tabulated distribution evaluated off its node grid"
-            )
-        return values
-
-    return AngularDistribution(
-        "tabulated",
-        func,
-        params={"kind": "tabulated", "path": str(path)},
-        rule=rule,
-        grid_locked=True,
-    )

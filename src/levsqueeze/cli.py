@@ -419,7 +419,7 @@ def sensitivity(run, opt):
     lo, hi = parse_number(lo, "u grid bound"), parse_number(hi, "u grid bound")
     if lo <= 0 or hi <= lo or n < 2:
         raise ConfigError("u grid requires 0 < lo < hi and n >= 2")
-    spectra = detect.input_spectra(
+    spectra = squeeze.input_spectra(
         squeeze.OverlapResult(xi=opt.xi),
         squeeze.SqueezeParams(r_s=r_s, phi_s=parse_number(opt.phase, "phase")),
         absolute_phase=False,
@@ -482,7 +482,7 @@ def wigner(run, opt):
     if opt.source == "bare":
         cov = detect.wigner_covariance("bare-squeezed-mode", r=r_s, phi=phi)
     elif opt.source == "input":
-        spectra = detect.input_spectra(
+        spectra = squeeze.input_spectra(
             squeeze.OverlapResult(xi=opt.xi),
             squeeze.SqueezeParams(r_s=r_s, phi_s=phi),
             absolute_phase=False,

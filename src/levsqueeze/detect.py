@@ -1,6 +1,7 @@
-"""Detection noise: input/back-action/correlation spectra, minimum
+"""Detection noise: back-action and correlation spectra, minimum
 detectable displacement signal relative to the standard quantum limit, and
-Gaussian Wigner-function data for the input light.
+Gaussian Wigner-function data for the input light. The input spectra they
+read come from squeeze.input_spectra.
 
 Convention: every spectral density in this module is stored pre-multiplied
 by 2 pi, so the vacuum level is exactly 1 and dimensionless formulas carry
@@ -15,33 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalFailure
-from .squeeze import OverlapResult, SqueezeParams, recoil_ratio
-
-UNCERTAINTY_SLACK = 1e-10
+from .squeeze import InputSpectra, OverlapResult, SqueezeParams, input_spectra
 
 # "omega << Omega" idealization: |Re chi/chi| differs from 1 by < 1e-6 here
 LOW_FREQ_OMEGA_RATIO = 1e-3
 LOW_FREQ_DAMPING_RATIO = 1e-6
-
-
-@dataclass(frozen=True)
-class InputSpectra:
-    """Quadrature spectra of the interacting input mode (times 2 pi)."""
-
-    sxx: float
-    syy: float
-    scross: float
-
-    def __post_init__(self):
-        det = self.sxx * self.syy - self.scross**2
-        if det < 1.0 - UNCERTAINTY_SLACK:
-            raise NumericalFailure(
-                f"input spectra violate the uncertainty bound (det = {det:.12g})"
-            )
-
-    @property
-    def uncertainty_determinant(self):
-        return self.sxx * self.syy - self.scross**2
 
 
 @dataclass(frozen=True)
@@ -85,21 +64,6 @@ def low_frequency_susceptibility(mode_frequency: float) -> Susceptibility:
         omega=LOW_FREQ_OMEGA_RATIO * mode_frequency,
         mode_frequency=mode_frequency,
         damping=LOW_FREQ_DAMPING_RATIO * mode_frequency,
-    )
-
-
-def input_spectra(xi: OverlapResult, sq: SqueezeParams, absolute_phase=True) -> InputSpectra:
-    """Quadrature spectra of the interacting input mode.
-
-    sxx equals the recoil heating ratio Gamma/Gamma0 identically.
-    """
-    phi = (sq.phi_s - 2.0 * xi.phase) if absolute_phase else sq.phi_s
-    m2 = xi.modulus**2
-    s0, c0 = sq.s0, sq.c0
-    return InputSpectra(
-        sxx=1.0 + 2.0 * m2 * s0 * (s0 - c0 * math.cos(phi)),
-        syy=1.0 + 2.0 * m2 * s0 * (s0 + c0 * math.cos(phi)),
-        scross=-2.0 * m2 * s0 * c0 * math.sin(phi),
     )
 
 
@@ -190,12 +154,10 @@ def sensitivity_heatmap(e2r_values, xi2_values, chi: Susceptibility):
 
 
 def bare_mode_covariance(r: float, phi: float) -> np.ndarray:
-    """Covariance of the bare squeezed mode (vacuum = identity, det = 1)."""
-    ch, sh = math.cosh(2.0 * r), math.sinh(2.0 * r)
-    qq = ch + sh * math.cos(phi)
-    pp = ch - sh * math.cos(phi)
-    qp = -sh * math.sin(phi)
-    return np.array([[qq, qp], [qp, pp]])
+    """Covariance of the bare squeezed mode (vacuum = identity, det = 1):
+    the |xi| = 1 input spectra at offset phi, quadratures swapped."""
+    s = input_spectra(OverlapResult(xi=1.0), SqueezeParams(r_s=r, phi_s=phi), absolute_phase=False)
+    return np.array([[s.syy, s.scross], [s.scross, s.sxx]])
 
 
 def interacting_input_covariance(spectra: InputSpectra) -> np.ndarray:

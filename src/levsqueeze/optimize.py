@@ -18,9 +18,9 @@ from scipy import optimize as sopt
 from scipy.stats import qmc
 
 from .angular import DEFAULT_RULE, QuadratureRule, make_beam, make_mode
-from .detect import input_spectra, low_frequency_susceptibility, s_min_opt_u
+from .detect import low_frequency_susceptibility, s_min_opt_u
 from .errors import ConfigError
-from .squeeze import OverlapResult, SqueezeParams, mode_overlap, recoil_ratio
+from .squeeze import OverlapResult, SqueezeParams, input_spectra, mode_overlap, recoil_ratio
 
 GEOMETRY_PARAMETERS = ("na", "axis_theta", "axis_phi", "polarization_angle", "weight")
 PHASE_PARAMETER = "phi"
@@ -93,6 +93,7 @@ class _Evaluator:
         self._cache = {}
         self.count = 0
         self.trace = []
+        self.best = None  # (x, value) of the lowest evaluation so far
 
     def params_from_vector(self, x):
         params = dict(self.problem.fixed)
@@ -140,16 +141,20 @@ class _Evaluator:
         else:
             spectra = input_spectra(xi, sq, absolute_phase=False)
             _, value = s_min_opt_u(spectra, self.chi)
+        value = float(value)
         self.count += 1
-        self.trace.append(float(value))
-        return float(value)
+        self.trace.append(value)
+        if self.best is None or value < self.best[1]:
+            self.best = (np.array(x, dtype=float), value)
+        return value
 
 
 def optimize(problem: OptimizationProblem, budget: int = 200, seed: int = 0) -> OptimizationResult:
     """Latin-hypercube scan followed by simplex refinement.
 
-    Deterministic for fixed (problem, budget, seed); never returns a value
-    worse than the best scanned point.
+    Deterministic for fixed (problem, budget, seed); returns the lowest
+    point evaluated, which the simplex may not have accepted when it
+    stopped at its evaluation budget.
     """
     d = problem.dimension
     if budget < 10 * d:
@@ -160,22 +165,19 @@ def optimize(problem: OptimizationProblem, budget: int = 200, seed: int = 0) -> 
 
     n_scan = max(budget // 3, 5 * d)
     sampler = qmc.LatinHypercube(d=d, seed=seed)
-    points = lower + sampler.random(n=n_scan) * (upper - lower)
-    values = np.array([evaluator(p) for p in points])
-    best_idx = int(np.argmin(values))
-    x0, best = points[best_idx], float(values[best_idx])
+    for point in lower + sampler.random(n=n_scan) * (upper - lower):
+        evaluator(point)
 
     remaining = budget - n_scan
     if remaining > d + 1:
-        res = sopt.minimize(
+        sopt.minimize(
             evaluator,
-            x0,
+            evaluator.best[0],
             method="Nelder-Mead",
             bounds=list(zip(lower, upper)),
             options={"maxfev": remaining, "xatol": 1e-10, "fatol": 1e-14},
         )
-        if res.fun <= best:
-            x0, best = np.clip(res.x, lower, upper), float(res.fun)
+    x0, best = evaluator.best
 
     params = evaluator.params_from_vector(x0)
     xi = evaluator._overlap(params)
@@ -186,38 +188,3 @@ def optimize(problem: OptimizationProblem, budget: int = 200, seed: int = 0) -> 
         evaluations=evaluator.count,
         trace=evaluator.trace,
     )
-
-
-def scan_1d(problem: OptimizationProblem, parameter: str, lo: float, hi: float, n: int):
-    """Uniform grid scan of the objective along one parameter.
-
-    Other free parameters must be fixed. Returns (header, rows, report)
-    where report locates the extrema on the grid.
-    """
-    if n < 2:
-        raise ConfigError("scan needs at least 2 points")
-    if parameter not in SUPPORTED_PARAMETERS:
-        raise ConfigError(f"unknown parameter {parameter!r}")
-    scan_problem = OptimizationProblem(
-        objective=problem.objective,
-        mode_kind=problem.mode_kind,
-        mode_axis=problem.mode_axis,
-        r_s=problem.r_s,
-        free={parameter: (lo, hi)},
-        fixed={k: v for k, v in {**problem.fixed, **{}}.items() if k != parameter},
-        rule=problem.rule,
-    )
-    evaluator = _Evaluator(scan_problem)
-    grid = np.linspace(lo, hi, n)
-    rows = [[float(v), evaluator([v])] for v in grid]
-    values = [r[1] for r in rows]
-    i_min, i_max = int(np.argmin(values)), int(np.argmax(values))
-    report = {
-        "argmin": rows[i_min][0],
-        "min": rows[i_min][1],
-        "argmax": rows[i_max][0],
-        "max": rows[i_max][1],
-        "monotone_increasing": all(b >= a for a, b in zip(values, values[1:])),
-        "monotone_decreasing": all(b <= a for a, b in zip(values, values[1:])),
-    }
-    return [parameter, "objective"], rows, report

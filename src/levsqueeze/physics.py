@@ -11,16 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .angular import MOTION_GEOMETRY_FACTORS
 from .constants import C, EPS0, HBAR
 from .errors import ConfigError
 
 DEFAULT_DAMPING_RATIO = 1e-6  # gamma_mu / Omega_mu unless specified
-
-# Geometry factors of the motional recoil rates, (1, 2, 7)/5 per axis.
-GEOMETRY_FACTORS = {"x": 1.0 / 5.0, "y": 2.0 / 5.0, "z": 7.0 / 5.0}
-
-# Convenience material preset (not a literature value).
-SILICA = {"density": 2200.0, "permittivity": 2.1}
 
 
 @dataclass(frozen=True)
@@ -129,11 +124,6 @@ def alpha0_squared(laser: Laser) -> float:
     return 16.0 * np.pi**2 * laser.power / (HBAR * C**2 * laser.k0 * laser.waist**2)
 
 
-def derive_alpha0(laser: Laser, arg=0.0) -> complex:
-    """Displaced-mode amplitude alpha0 with the configured phase."""
-    return np.sqrt(alpha0_squared(laser)) * np.exp(1j * arg)
-
-
 def motion_frequencies(particle: Particle, laser: Laser):
     """Mechanical frequencies (rad/s) of the three motional modes."""
     eps = particle.permittivity
@@ -150,7 +140,7 @@ def motion_frequencies(particle: Particle, laser: Laser):
 
 def motion_recoil_bare(particle: Particle, laser: Laser, axis: str, zero_point: float):
     """Bare recoil heating rate of one motional mode (rad/s)."""
-    if axis not in GEOMETRY_FACTORS:
+    if axis not in MOTION_GEOMETRY_FACTORS:
         raise ConfigError(f"motion axis must be x, y or z, got {axis!r}")
     a2 = alpha0_squared(laser)
     alpha = particle.polarizability
@@ -161,7 +151,7 @@ def motion_recoil_bare(particle: Particle, laser: Laser, axis: str, zero_point: 
         * laser.omega0**2
         * zero_point**2
         * (8.0 * np.pi * laser.k0**4 / 3.0)
-        * GEOMETRY_FACTORS[axis]
+        * MOTION_GEOMETRY_FACTORS[axis]
     )
 
 
@@ -178,7 +168,7 @@ def derive_motion_modes(particle: Particle, laser: Laser, damping_ratio=DEFAULT_
             zero_point=r0,
             damping=damping_ratio * omega,
             bare_recoil=motion_recoil_bare(particle, laser, axis, r0),
-            geometry_factor=GEOMETRY_FACTORS[axis],
+            geometry_factor=MOTION_GEOMETRY_FACTORS[axis],
         )
     return modes
 

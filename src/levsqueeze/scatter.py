@@ -2,25 +2,21 @@
 radiation patterns (IRPs) for a mechanical mode illuminated by squeezed
 light.
 
-Amplitudes are first-order in the mechanical zero-point motion. By default
-the cross section is reported as a dimensionless shape factor, in units of
-(2 pi)^3 |alpha0|^2 Gamma0 / c; pass si=True for absolute values.
+Amplitudes are first-order in the mechanical zero-point motion. The cross
+section is reported as a dimensionless shape factor, in units of
+(2 pi)^3 |alpha0|^2 Gamma0 / c.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .angular import AngularDistribution, DEFAULT_RULE, QuadratureRule, integrate_sphere
-from .constants import C
 from .errors import ConfigError, NumericalFailure
-from .squeeze import OverlapResult, SqueezeParams, mode_overlap, recoil_ratio
-
-TWO_PI_CUBED = (2.0 * np.pi) ** 3
+from .squeeze import OverlapResult, SqueezeParams, mode_overlap, recoil_ratio, relative_phase
 
 
 @dataclass
@@ -34,24 +30,18 @@ class ScatterConfig:
     mode: AngularDistribution
     beam: AngularDistribution
     sq: SqueezeParams
-    alpha0: complex = 1.0 + 0.0j
-    bare_recoil: float = 1.0
     absolute_phase: bool = True
     rule: QuadratureRule = DEFAULT_RULE
     xi: OverlapResult = field(init=False)
 
     def __post_init__(self):
-        if self.bare_recoil < 0:
-            raise ConfigError("bare recoil rate must be non-negative")
         if not self.beam.is_normalized:
             raise ConfigError("beam distribution must be square-normalized")
         self.xi = mode_overlap(self.beam, self.mode)
 
     @property
     def relative_phase(self):
-        if self.absolute_phase:
-            return (self.sq.phi_s - 2.0 * self.xi.phase) % (2.0 * np.pi)
-        return self.sq.phi_s
+        return relative_phase(self.xi, self.sq, self.absolute_phase)
 
     @property
     def g(self):
@@ -64,12 +54,8 @@ class ScatterConfig:
         """Gamma/Gamma0 for this configuration."""
         return recoil_ratio(self.xi, self.sq, absolute_phase=self.absolute_phase)
 
-    def si_prefactor(self):
-        """(2 pi)^3 |alpha0|^2 Gamma0 / c, the cross-section unit."""
-        return TWO_PI_CUBED * abs(self.alpha0) ** 2 * self.bare_recoil / C
 
-
-def scattering_amplitudes(cfg: ScatterConfig, theta, phi, si=False):
+def scattering_amplitudes(cfg: ScatterConfig, theta, phi):
     """Per-polarization amplitudes (f_plus, f_minus), each of shape (2, n).
 
     f_plus annihilates a photon into direction (theta, phi) while creating
@@ -81,28 +67,26 @@ def scattering_amplitudes(cfg: ScatterConfig, theta, phi, si=False):
     a_mode = cfg.mode.amplitude(theta, phi)
     a_beam = cfg.beam.amplitude(theta, phi)
     g = cfg.g
-    phase = cmath.exp(1j * cmath.phase(cfg.alpha0))
-    scale = math.sqrt(cfg.si_prefactor()) if si else 1.0
-    f_plus = -np.conj(phase) * scale * (a_mode + np.conj(a_beam) * g)
-    f_minus = -phase * scale * np.conj(a_beam) * np.conj(g)
+    f_plus = -(a_mode + np.conj(a_beam) * g)
+    f_minus = -np.conj(a_beam) * np.conj(g)
     return f_plus, f_minus
 
 
-def differential_cross_section(cfg: ScatterConfig, theta, phi, si=False):
+def differential_cross_section(cfg: ScatterConfig, theta, phi):
     """Polarization-summed d sigma / d Omega at the given directions.
 
     Pointwise values may be negative for strong squeezing; only the
     integral is guaranteed positive. Values are reported unclipped.
     """
-    f_plus, f_minus = scattering_amplitudes(cfg, theta, phi, si=si)
+    f_plus, f_minus = scattering_amplitudes(cfg, theta, phi)
     return np.sum(np.abs(f_plus) ** 2 - np.abs(f_minus) ** 2, axis=0).real
 
 
-def integrated_cross_section(cfg: ScatterConfig, si=False):
+def integrated_cross_section(cfg: ScatterConfig):
     """Quadrature integral of d sigma / d Omega over the full sphere."""
 
     def integrand(theta, phi):
-        f_plus, f_minus = scattering_amplitudes(cfg, theta, phi, si=si)
+        f_plus, f_minus = scattering_amplitudes(cfg, theta, phi)
         return np.abs(f_plus) ** 2 - np.abs(f_minus) ** 2
 
     axis = cfg.beam.support_axis
@@ -123,7 +107,7 @@ class IRPGrid:
     metadata: dict
 
 
-def irp_grid(cfg: ScatterConfig, n_theta=181, n_phi=360, si=False) -> IRPGrid:
+def irp_grid(cfg: ScatterConfig, n_theta=181, n_phi=360) -> IRPGrid:
     """Tabulate d sigma / d Omega and the normalized IRP.
 
     The normalization integral is evaluated with the configured quadrature
@@ -135,12 +119,12 @@ def irp_grid(cfg: ScatterConfig, n_theta=181, n_phi=360, si=False) -> IRPGrid:
     theta = np.linspace(0.0, np.pi, n_theta)
     phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
     tt, pp = np.meshgrid(theta, phi, indexing="ij")
-    f_plus, f_minus = scattering_amplitudes(cfg, tt.ravel(), pp.ravel(), si=si)
+    f_plus, f_minus = scattering_amplitudes(cfg, tt.ravel(), pp.ravel())
     fp2 = np.sum(np.abs(f_plus) ** 2, axis=0).reshape(n_theta, n_phi)
     fm2 = np.sum(np.abs(f_minus) ** 2, axis=0).reshape(n_theta, n_phi)
     dsigma = fp2 - fm2
 
-    total = integrated_cross_section(cfg, si=si)
+    total = integrated_cross_section(cfg)
     if total <= 0:
         raise NumericalFailure(
             f"total scattered power is non-positive ({total:.6g}); "
@@ -153,7 +137,7 @@ def irp_grid(cfg: ScatterConfig, n_theta=181, n_phi=360, si=False) -> IRPGrid:
         "phi_s": cfg.sq.phi_s,
         "relative_phase": cfg.relative_phase,
         "ratio": cfg.ratio,
-        "si_units": bool(si),
+        "si_units": False,
         "min_dsigma": float(dsigma.min()),
         "max_dsigma": float(dsigma.max()),
         "has_negative_values": bool(dsigma.min() < 0),

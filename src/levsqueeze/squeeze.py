@@ -1,8 +1,9 @@
-"""Squeezing-modified recoil heating.
+"""Squeezing-modified recoil heating and the input spectra behind it.
 
 The central object is the overlap xi between the squeezed beam profile and
-the angular pattern of a mechanical mode. Everything downstream (diagonal
-rates, cross rates, sweeps) is closed-form trigonometry in (r, phi, xi).
+the angular pattern of a mechanical mode. Everything downstream is one
+Gaussian closed form in (|xi|^2, r, Phi), input_spectra: the recoil ratio
+is its sxx, and detection and the Wigner data read all three spectra.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ from .angular import (
     make_mode,
     overlap,
 )
-from .errors import ConfigError
+from .errors import ConfigError, NumericalFailure
 
 OVERLAP_BOUND_TOLERANCE = 1e-10
+UNCERTAINTY_SLACK = 1e-10
 
 
 @dataclass(frozen=True)
@@ -72,10 +74,6 @@ def db_to_r(db: float) -> float:
     return db * math.log(10.0) / 20.0
 
 
-def r_to_db(r: float) -> float:
-    return 20.0 * r / math.log(10.0)
-
-
 def mode_overlap(beam: AngularDistribution, mode: AngularDistribution) -> OverlapResult:
     """Overlap of the (normalized) beam with a mode pattern, no conjugation."""
     xi = overlap(beam, mode)
@@ -96,16 +94,53 @@ def relative_phase(xi: OverlapResult, sq: SqueezeParams, absolute_phase=True) ->
     return sq.phi_s % (2.0 * np.pi)
 
 
-def recoil_ratio(xi: OverlapResult, sq: SqueezeParams, absolute_phase=True) -> float:
-    """Heating-rate ratio Gamma/Gamma0 of one mechanical mode.
+@dataclass(frozen=True)
+class InputSpectra:
+    """Quadrature spectra of the interacting input mode (times 2 pi, so the
+    vacuum level is exactly 1)."""
 
-    1 - |xi|^2 [1 - e^{2r} sin^2(Phi/2) - e^{-2r} cos^2(Phi/2)]
+    sxx: float
+    syy: float
+    scross: float
+
+    def __post_init__(self):
+        # The determinant of rounded spectra is resolved only to a relative
+        # precision of the products it subtracts.
+        det = self.uncertainty_determinant
+        if det < 1.0 - UNCERTAINTY_SLACK * max(1.0, self.sxx * self.syy):
+            raise NumericalFailure(
+                f"input spectra violate the uncertainty bound (det = {det:.12g})"
+            )
+
+    @property
+    def uncertainty_determinant(self):
+        return self.sxx * self.syy - self.scross**2
+
+
+def input_spectra(xi: OverlapResult, sq: SqueezeParams, absolute_phase=True) -> InputSpectra:
+    """Quadrature spectra of the interacting input mode at offset Phi.
+
+    sxx = (1 - |xi|^2) + |xi|^2 [e^{2r} sin^2(Phi/2) + e^{-2r} cos^2(Phi/2)]
+    is the recoil heating ratio Gamma/Gamma0; syy swaps sin and cos, and
+    scross = -|xi|^2 sinh(2r) sin Phi. Sums of non-negative terms keep full
+    relative precision at any squeezing degree.
     """
     phi = relative_phase(xi, sq, absolute_phase)
     m2 = xi.modulus**2
     sin2 = math.sin(phi / 2.0) ** 2
     cos2 = math.cos(phi / 2.0) ** 2
-    return 1.0 - m2 * (1.0 - math.exp(2.0 * sq.r_s) * sin2 - math.exp(-2.0 * sq.r_s) * cos2)
+    grow, shrink = math.exp(2.0 * sq.r_s), math.exp(-2.0 * sq.r_s)
+    return InputSpectra(
+        sxx=(1.0 - m2) + m2 * (grow * sin2 + shrink * cos2),
+        syy=(1.0 - m2) + m2 * (grow * cos2 + shrink * sin2),
+        scross=-m2 * math.sinh(2.0 * sq.r_s) * math.sin(phi),
+    )
+
+
+def recoil_ratio(xi: OverlapResult, sq: SqueezeParams, absolute_phase=True) -> float:
+    """Heating-rate ratio Gamma/Gamma0 of one mechanical mode, the sxx of
+    its input spectra."""
+    return input_spectra(xi, sq, absolute_phase).sxx
 
 
 def cross_rate(
@@ -174,36 +209,3 @@ def recoil_sweep(
             row.append(recoil_ratio(res, sq, absolute_phase=absolute_phase))
         rows.append(row)
     return header, rows, overlaps
-
-
-def phase_sweep(
-    xi: OverlapResult,
-    r_s: float,
-    phi_values,
-    absolute_phase: bool = False,
-):
-    """Recoil ratio versus squeezing phase at fixed degree."""
-    rows = []
-    for phi in np.atleast_1d(np.asarray(phi_values, dtype=float)):
-        sq = SqueezeParams(r_s=r_s, phi_s=float(phi))
-        rows.append([float(phi), recoil_ratio(xi, sq, absolute_phase=absolute_phase)])
-    return ["phi", "ratio"], rows
-
-
-def libration_recoil_sweep(beams, axis, r_values, phi=0.0, **kwargs):
-    """recoil_sweep for the libration modes (axis y or z)."""
-    if axis not in ("y", "z"):
-        raise ConfigError("libration axis must be y or z")
-    return recoil_sweep(beams, axis, r_values, phi=phi, kind="libration", **kwargs)
-
-
-def reheating_trajectory(bare_recoil: float, ratio: float, n0: float, times):
-    """Linear phonon-growth estimate <n>(t) = n0 + ratio*Gamma0*t.
-
-    Valid in the zero-damping, zero-thermal-bath limit where recoil
-    diffusion is the only heating channel.
-    """
-    t = np.asarray(times, dtype=float)
-    if np.any(t < 0):
-        raise ConfigError("trajectory times must be non-negative")
-    return n0 + ratio * bare_recoil * t

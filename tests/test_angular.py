@@ -36,13 +36,6 @@ def test_integrate_rejects_nonfinite():
         angular.integrate_sphere(bad)
 
 
-def test_direction_validation():
-    with pytest.raises(ConfigError):
-        angular.Direction(theta=-0.1, phi=0.0)
-    d = angular.Direction(theta=np.pi / 2, phi=0.0)
-    assert np.allclose(d.unit_vector, [1.0, 0.0, 0.0])
-
-
 def test_spherical_basis_orthonormal():
     theta = np.array([0.3, 1.2, 2.8])
     phi = np.array([0.1, 2.0, 5.5])
@@ -137,36 +130,6 @@ def test_unnormalized_overlap_warns():
     mode = angular.make_motion_distribution("z")
     with pytest.warns(UserWarning):
         angular.overlap(shrunk, mode)
-
-
-def test_tabulated_round_trip(tmp_path):
-    rule = angular.QuadratureRule(n_theta=16, n_phi=24)
-    source = angular.make_libration_distribution("y", rule=rule)
-    theta, phi, _ = rule.nodes()
-    amp = 2.0 * source.amplitude(theta, phi)  # unnormalized on purpose
-    path = tmp_path / "dist.csv"
-    rows = np.column_stack(
-        [theta, phi, amp[0].real, amp[0].imag, amp[1].real, amp[1].imag]
-    )
-    header = "theta,phi,re_a_theta,im_a_theta,re_a_phi,im_a_phi"
-    np.savetxt(path, rows, delimiter=",", header=header, comments="")
-    loaded = angular.load_tabulated(path, rule=rule)
-    assert loaded.prenormalization_norm == pytest.approx(2.0, rel=1e-10)
-    got = angular.overlap_hermitian(loaded, loaded, rule=rule)
-    assert got == pytest.approx(1.0, abs=1e-10)
-
-
-def test_tabulated_rejects_wrong_grid(tmp_path):
-    rule = angular.QuadratureRule(n_theta=16, n_phi=24)
-    path = tmp_path / "bad.csv"
-    theta, phi, _ = rule.nodes()
-    rows = np.column_stack([theta + 0.01, phi, theta * 0, theta * 0, theta * 0, theta * 0])
-    np.savetxt(
-        path, rows, delimiter=",",
-        header="theta,phi,re_a_theta,im_a_theta,re_a_phi,im_a_phi", comments="",
-    )
-    with pytest.raises(ConfigError):
-        angular.load_tabulated(path, rule=rule)
 
 
 def test_make_mode_dispatches_on_kind():

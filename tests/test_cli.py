@@ -189,6 +189,24 @@ def test_wigner_outputs(tmp_path):
     assert cov["determinant"] == pytest.approx(1.0, rel=1e-10)
 
 
+@pytest.mark.parametrize(
+    "args, artifact, key",
+    [
+        (["sensitivity", "--xi", "1", "--db", "40", "--phase", "0"], "sensitivity_meta.json", "s_min_opt"),
+        (["sensitivity", "--xi", "1", "--db", "80", "--phase", "0"], "sensitivity_meta.json", "s_min_opt"),
+        (["wigner", "--db", "80", "--phase", "0"], "wigner_covariance.json", "determinant"),
+        (["wigner", "--db", "100", "--phase", "0"], "wigner_covariance.json", "determinant"),
+        (["wigner", "--source", "input", "--xi", "1", "--db", "60", "--phase", "0"], "wigner_covariance.json", "determinant"),
+    ],
+    ids=["sensitivity-40dB", "sensitivity-80dB", "wigner-80dB", "wigner-100dB", "wigner-input-60dB"],
+)
+def test_pure_state_exact_at_high_squeezing(tmp_path, args, artifact, key):
+    # |xi| = 1 at phase 0 is a pure squeezed state: det S = 1 and s_min_opt = 1
+    assert run(tmp_path, *args) == 0
+    value = json.loads((tmp_path / artifact).read_text())[key]
+    assert value == pytest.approx(1.0, abs=1e-12)
+
+
 def test_cli_rerun_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

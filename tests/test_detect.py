@@ -8,7 +8,7 @@ from levsqueeze.errors import ConfigError, NumericalFailure
 
 
 def spectra_for(m, r, phi):
-    return detect.input_spectra(
+    return squeeze.input_spectra(
         squeeze.OverlapResult(xi=m + 0.0j),
         squeeze.SqueezeParams(r_s=r, phi_s=phi),
         absolute_phase=False,
@@ -25,11 +25,12 @@ def test_vacuum_spectra():
 
 
 def test_perfect_overlap_spectra():
-    r = squeeze.db_to_r(15.0)
-    s = spectra_for(1.0, r, 0.0)
-    assert s.sxx == pytest.approx(math.exp(-2 * r), rel=1e-12)
-    assert s.syy == pytest.approx(math.exp(2 * r), rel=1e-12)
-    assert s.scross == pytest.approx(0.0, abs=1e-12)
+    for db in (15.0, 40.0, 60.0, 80.0):
+        r = squeeze.db_to_r(db)
+        s = spectra_for(1.0, r, 0.0)
+        assert s.sxx == pytest.approx(math.exp(-2 * r), rel=1e-12)
+        assert s.syy == pytest.approx(math.exp(2 * r), rel=1e-12)
+        assert s.scross == pytest.approx(0.0, abs=1e-12)
 
 
 def test_sxx_equals_recoil_ratio(rng):
@@ -147,7 +148,7 @@ def test_backaction_psd():
     low = detect.backaction_psd(1e-9, 100.0, s, chi0)
     res = detect.backaction_psd(1e-9, 100.0, s, chi_res)
     assert low / res == pytest.approx(1e-8, rel=1e-3)  # (gamma/Omega)^2
-    doubled = detect.InputSpectra(sxx=2 * s.sxx, syy=2 * s.syy, scross=2 * s.scross)
+    doubled = squeeze.InputSpectra(sxx=2 * s.sxx, syy=2 * s.syy, scross=2 * s.scross)
     assert detect.backaction_psd(1e-9, 100.0, doubled, chi0) == pytest.approx(
         2 * low, rel=1e-12
     )

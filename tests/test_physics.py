@@ -22,12 +22,6 @@ def test_alpha0_linearity(laser):
     )
 
 
-def test_alpha0_phase(laser):
-    a = physics.derive_alpha0(laser, arg=0.7)
-    assert abs(a) ** 2 == pytest.approx(physics.alpha0_squared(laser), rel=1e-12)
-    assert np.angle(a) == pytest.approx(0.7, abs=1e-14)
-
-
 def test_paraxial_warning():
     with pytest.warns(UserWarning):
         physics.Laser(power=0.5, waist=0.4e-6, wavelength=1.064e-6)

@@ -1,0 +1,76 @@
+"""Closed-form invariants of the squeezed input, checked on generated inputs.
+
+For an overlap modulus m in [0, 1], a squeezing degree r in [0, 10] and any
+phase offset Phi, the input spectra must respect the recoil-ratio bounds,
+the uncertainty bound det S >= 1 (with equality for the pure state m = 1)
+and 2 pi periodicity; the bare squeezed mode has determinant 1.
+
+A 2x2 determinant of rounded spectra is resolved only to a relative
+precision of the products it subtracts, so determinant checks scale their
+tolerance with sxx * syy (about 2.4e17 at r = 10).
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from levsqueeze import detect, squeeze
+
+DETERMINISTIC = settings(derandomize=True, deadline=None)
+
+moduli = st.floats(min_value=0.0, max_value=1.0)
+degrees = st.floats(min_value=0.0, max_value=10.0)
+phases = st.floats(min_value=-100.0, max_value=100.0)
+
+REL = 1e-12
+
+
+def spectra(m, r, phi):
+    return squeeze.input_spectra(
+        squeeze.OverlapResult(xi=m), squeeze.SqueezeParams(r_s=r, phi_s=phi), absolute_phase=False
+    )
+
+
+def det_tolerance(s):
+    return REL * max(1.0, s.sxx * s.syy)
+
+
+@DETERMINISTIC
+@given(m=moduli, r=degrees, phi=phases)
+def test_ratio_within_phase_extremes(m, r, phi):
+    m2 = m * m
+    ratio = squeeze.recoil_ratio(
+        squeeze.OverlapResult(xi=m), squeeze.SqueezeParams(r_s=r, phi_s=phi), absolute_phase=False
+    )
+    lowest = (1.0 - m2) + m2 * math.exp(-2.0 * r)
+    highest = 1.0 + m2 * (math.exp(2.0 * r) - 1.0)
+    assert lowest * (1.0 - REL) <= ratio <= highest * (1.0 + REL)
+
+
+@DETERMINISTIC
+@given(m=moduli, r=degrees, phi=phases)
+def test_uncertainty_bound(m, r, phi):
+    s = spectra(m, r, phi)
+    assert s.uncertainty_determinant >= 1.0 - det_tolerance(s)
+    pure = spectra(1.0, r, phi)
+    assert pure.uncertainty_determinant == pytest.approx(1.0, abs=det_tolerance(pure))
+
+
+@DETERMINISTIC
+@given(m=moduli, r=degrees, phi=phases)
+def test_ratio_is_2pi_periodic(m, r, phi):
+    here, there = spectra(m, r, phi), spectra(m, r, phi + 2.0 * math.pi)
+    # phi + 2 pi is itself rounded; the ratio moves by its slope -scross times that
+    slack = abs(here.scross) * 4.0 * math.ulp(abs(phi) + 2.0 * math.pi)
+    assert there.sxx == pytest.approx(here.sxx, rel=REL, abs=slack)
+
+
+@DETERMINISTIC
+@given(r=degrees, phi=phases)
+def test_bare_covariance_is_pure(r, phi):
+    cov = detect.bare_mode_covariance(r, phi)
+    tolerance = REL * max(1.0, cov[0, 0] * cov[1, 1])
+    assert cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0] == pytest.approx(1.0, abs=tolerance)
+    assert np.all(np.diag(cov) > 0.0)

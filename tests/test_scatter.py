@@ -131,22 +131,3 @@ def test_unnormalized_beam_rejected():
         scatter.ScatterConfig(
             mode=mode, beam=beam, sq=squeeze.SqueezeParams(r_s=1.0)
         )
-
-
-def test_si_prefactor_scaling():
-    cfg = make_config()
-    cfg_si = make_config()
-    cfg_si.alpha0 = 2.0 + 0.0j
-    cfg_si.bare_recoil = 3.0
-    dimensionless = scatter.differential_cross_section(cfg, [2.5], [0.3])[0]
-    absolute = scatter.differential_cross_section(cfg_si, [2.5], [0.3], si=True)[0]
-    assert absolute == pytest.approx(dimensionless * cfg_si.si_prefactor(), rel=1e-12)
-
-
-def test_irp_invariant_under_alpha0_modulus():
-    a = make_config()
-    b = make_config()
-    b.alpha0 = 5.0 * np.exp(0.4j)
-    ga = scatter.irp_grid(a, n_theta=9, n_phi=12)
-    gb = scatter.irp_grid(b, n_theta=9, n_phi=12)
-    assert np.allclose(ga.irp, gb.irp, rtol=1e-12)
