@@ -1,10 +1,11 @@
 """Angular/polarization amplitude distributions on the unit sphere.
 
-A distribution assigns a complex amplitude to every propagation direction
-and transverse polarization (components along the spherical unit vectors
-e_theta, e_phi of the global frame).  All built-in distributions are
-square-normalized at construction:  integral over the sphere of the
-polarization-summed squared modulus equals 1.
+A distribution assigns to every unit propagation vector k the complex
+transverse field it radiates along k, as Cartesian components of shape
+(3, n) orthogonal to k. Polarization sums and overlaps are therefore plain
+sums over the three components, independent of any angular basis. All
+built-in distributions are square-normalized at construction: integral
+over the sphere of the squared field modulus equals 1.
 
 Integration uses a product rule: Gauss-Legendre in cos(theta) with the
 domain split at the equator of the integration frame (so a hemisphere
@@ -48,13 +49,6 @@ def spherical_basis(theta, phi):
     return e_k, e_t, e_p
 
 
-def angles_from_vectors(v):
-    """Inverse of the direction map: (3, ...) unit vectors -> (theta, phi)."""
-    theta = np.arccos(np.clip(v[2], -1.0, 1.0))
-    phi = np.mod(np.arctan2(v[1], v[0]), 2.0 * np.pi)
-    return theta, phi
-
-
 def rotation_to_axis(axis):
     """Rotation matrix mapping e_z onto `axis` (minimal rotation).
 
@@ -80,8 +74,19 @@ def rotation_to_axis(axis):
 
 
 @functools.lru_cache(maxsize=32)
-def _leggauss(n):
-    return np.polynomial.legendre.leggauss(n)
+def _frame_nodes(n_theta, n_phi):
+    """Read-only node vectors and weights of the rule about e_z."""
+    x, w = np.polynomial.legendre.leggauss(n_theta // 2)
+    # map [-1, 1] -> [-1, 0] and [0, 1]
+    cos_t = np.concatenate([0.5 * (x - 1.0), 0.5 * (x + 1.0)])
+    sin_t = np.sqrt(1.0 - cos_t**2)
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    k = np.stack(
+        [np.outer(sin_t, np.cos(phi)).ravel(), np.outer(sin_t, np.sin(phi)).ravel(), np.repeat(cos_t, n_phi)]
+    )
+    weight = np.outer(np.concatenate([0.5 * w, 0.5 * w]), np.full(n_phi, 2.0 * np.pi / n_phi)).ravel()
+    k.flags.writeable = weight.flags.writeable = False
+    return k, weight
 
 
 @dataclass(frozen=True)
@@ -104,76 +109,49 @@ class QuadratureRule:
             raise ConfigError("n_phi must be >= 2")
 
     def nodes(self, axis=None):
-        """Node angles (global frame) and weights, flattened.
+        """Node unit vectors k, shape (3, n), and weights, flattened.
 
         If `axis` is given the grid is generated in a frame whose polar
-        axis is `axis`; node positions are returned as global (theta, phi).
-        Weights are positive and sum to 4*pi.
+        axis is `axis`. Weights are positive and sum to 4*pi.
         """
-        half = self.n_theta // 2
-        x, w = _leggauss(half)
-        # map [-1, 1] -> [0, 1] and [-1, 0]
-        upper = 0.5 * (x + 1.0)
-        lower = 0.5 * (x - 1.0)
-        cos_t = np.concatenate([lower, upper])
-        w_t = np.concatenate([0.5 * w, 0.5 * w])
-        phi = 2.0 * np.pi * np.arange(self.n_phi) / self.n_phi
-        w_p = np.full(self.n_phi, 2.0 * np.pi / self.n_phi)
-
-        ct, p = np.meshgrid(cos_t, phi, indexing="ij")
-        weight = np.outer(w_t, w_p).ravel()
-        theta = np.arccos(np.clip(ct.ravel(), -1.0, 1.0))
-        phi_flat = p.ravel()
-
+        k, weight = _frame_nodes(self.n_theta, self.n_phi)
         if axis is not None:
-            rot = rotation_to_axis(axis)
-            if not np.allclose(rot, np.eye(3)):
-                e_k, _, _ = spherical_basis(theta, phi_flat)
-                theta, phi_flat = angles_from_vectors(rot @ e_k)
-        return theta, phi_flat, weight
+            k = rotation_to_axis(axis) @ k
+        return k, weight
 
 
 DEFAULT_RULE = QuadratureRule()
 
 
 def integrate_sphere(f, rule=DEFAULT_RULE, axis=None):
-    """Quadrature approximation of integral over dOmega of sum_pol f.
+    """Quadrature approximation of integral over dOmega of sum_i f_i.
 
-    `f(theta, phi)` must accept arrays of angles and return a complex array
-    of shape (2, n): the two polarization components (or one channel with
-    the other zero).  Deterministic for a fixed rule (pairwise summation).
+    `f(k)` takes the (3, n) node vectors and returns an array of shape
+    (m, n) whose m components are summed, e.g. the squared Cartesian
+    components of a field.  Deterministic for a fixed rule (pairwise
+    summation).
     """
-    theta, phi, w = rule.nodes(axis=axis)
-    values = np.asarray(f(theta, phi))
-    if values.shape[-1] != theta.size:
+    k, w = rule.nodes(axis=axis)
+    values = np.asarray(f(k)).sum(axis=0)
+    if values.shape != w.shape:
         raise ConfigError("integrand returned a shape not matching the rule nodes")
     bad = ~np.isfinite(values)
     if bad.any():
-        idx = int(np.argwhere(bad.any(axis=0)).ravel()[0])
-        raise NumericalFailure(
-            "non-finite integrand at node theta=%.6f phi=%.6f" % (theta[idx], phi[idx])
-        )
-    return np.sum(values.sum(axis=0) * w)
+        idx = int(np.flatnonzero(bad)[0])
+        raise NumericalFailure("non-finite integrand at node k = (%.6f, %.6f, %.6f)" % tuple(k[:, idx]))
+    return np.sum(values * w)
 
 
 class AngularDistribution:
-    """Square-integrable amplitude over (direction, polarization).
+    """Square-integrable transverse field over propagation directions.
 
-    Wraps a vectorized callable `func(theta, phi) -> (2, n)` giving the
-    complex components along (e_theta, e_phi) of the global frame, plus an
-    optional support axis (the amplitude vanishes outside the hemisphere
-    centered on it).
+    Wraps a vectorized callable `func(k) -> (3, n)` giving the complex
+    Cartesian field at the unit vectors k, plus an optional support axis
+    (the amplitude vanishes outside the hemisphere centered on it) and the
+    quadrature rule it is normalized, and overlapped, on.
     """
 
-    def __init__(
-        self,
-        label,
-        func,
-        support_axis=None,
-        params=None,
-        normalize=True,
-        rule=DEFAULT_RULE,
-    ):
+    def __init__(self, label, func, support_axis=None, normalize=True, rule=DEFAULT_RULE):
         self.label = label
         self._func = func
         self.support_axis = (
@@ -181,8 +159,7 @@ class AngularDistribution:
             if support_axis is None
             else np.asarray(support_axis, float) / np.linalg.norm(support_axis)
         )
-        self.params = dict(params or {})
-        self.norm_rule = rule
+        self.rule = rule
         raw = integrate_sphere(self._abs2, rule, axis=self.support_axis)
         self.prenormalization_norm = float(np.sqrt(raw.real))
         if normalize:
@@ -192,13 +169,12 @@ class AngularDistribution:
             self._scale = 1.0
             self.norm_squared = float(raw.real)
 
-    def _abs2(self, theta, phi):
-        a = np.asarray(self._func(theta, phi))
-        return np.abs(a) ** 2
+    def _abs2(self, k):
+        return np.abs(self._func(k)) ** 2
 
-    def amplitude(self, theta, phi):
-        """Complex components along (e_theta, e_phi), shape (2, n)."""
-        return self._scale * np.asarray(self._func(theta, phi))
+    def amplitude(self, k):
+        """Complex Cartesian field at the unit vectors k, shape (3, n)."""
+        return self._scale * np.asarray(self._func(k))
 
     @property
     def is_normalized(self):
@@ -221,84 +197,63 @@ def _check_normalized(*dists):
             )
 
 
-def overlap(a: AngularDistribution, b: AngularDistribution, rule=None):
-    """Overlap integral of a*b over the sphere, no complex conjugation."""
-    return _overlap(a, b, rule, conjugate_b=False)
+def overlap(a: AngularDistribution, b: AngularDistribution):
+    """Overlap integral of a . b over the sphere, no complex conjugation,
+    on the finer of the two distributions' rules."""
+    return _overlap(a, b, conjugate_b=False)
 
 
-def overlap_hermitian(a: AngularDistribution, b: AngularDistribution, rule=None):
-    """Hermitian overlap, integral of a * conj(b); 1 for a == b normalized."""
-    return _overlap(a, b, rule, conjugate_b=True)
+def overlap_hermitian(a: AngularDistribution, b: AngularDistribution):
+    """Hermitian overlap, integral of a . conj(b); 1 for a == b normalized."""
+    return _overlap(a, b, conjugate_b=True)
 
 
-def _overlap(a, b, rule, conjugate_b):
+def _overlap(a, b, conjugate_b):
     _check_normalized(a, b)
-    rule = rule or DEFAULT_RULE
-    axis = _integration_axis(a, b)
+    rule = max(a.rule, b.rule, key=lambda r: r.n_theta * r.n_phi)
 
-    def product(theta, phi):
-        va = a.amplitude(theta, phi)
-        vb = b.amplitude(theta, phi)
-        if conjugate_b:
-            vb = np.conj(vb)
-        return va * vb
+    def product(k):
+        vb = b.amplitude(k)
+        return a.amplitude(k) * (np.conj(vb) if conjugate_b else vb)
 
-    return complex(integrate_sphere(product, rule, axis=axis))
+    return complex(integrate_sphere(product, rule, axis=_integration_axis(a, b)))
 
 
-def _polarization_projection(theta, phi, vector):
-    """Components (e_theta . v, e_phi . v) of a fixed 3-vector, shape (2, n)."""
-    _, e_t, e_p = spherical_basis(theta, phi)
+def _transverse(vector, k):
+    """The part v - (v . k) k of a fixed 3-vector transverse to each k, shape (3, n)."""
     v = np.asarray(vector, float)
-    return np.stack([np.tensordot(v, e_t, axes=(0, 0)), np.tensordot(v, e_p, axes=(0, 0))])
+    return v[:, None] - (v @ k) * k
 
 
-def make_motion_distribution(axis, arg_alpha0=0.0, rule=DEFAULT_RULE):
+def make_motion_distribution(axis, rule=DEFAULT_RULE):
     """Coupling pattern of the center-of-mass motion along a Cartesian axis.
 
-    i * exp(i arg_alpha0) * sqrt(3 / (8 pi l)) * (pol . e_x) * [(e_k - e_z) . e_axis],
+    i * sqrt(3 / (8 pi l)) * [e_x - (e_x . k) k] * [(k - e_z) . e_axis],
     with the geometry factor l = (1, 2, 7) . e_axis / 5.
     """
     if axis not in MOTION_GEOMETRY_FACTORS:
         raise ConfigError(f"motion axis must be one of x, y, z, got {axis!r}")
-    if not np.isfinite(arg_alpha0):
-        raise ConfigError("arg_alpha0 must be finite")
-    l_mu = MOTION_GEOMETRY_FACTORS[axis]
     e_mu = AXES[axis]
-    prefactor = 1j * np.exp(1j * arg_alpha0) * np.sqrt(3.0 / (8.0 * np.pi * l_mu))
+    prefactor = 1j * np.sqrt(3.0 / (8.0 * np.pi * MOTION_GEOMETRY_FACTORS[axis]))
 
-    def func(theta, phi):
-        e_k, _, _ = spherical_basis(theta, phi)
-        geometry = np.tensordot(e_mu, e_k, axes=(0, 0)) - e_mu[2]
-        return prefactor * _polarization_projection(theta, phi, AXES["x"]) * geometry
+    def func(k):
+        return prefactor * _transverse(AXES["x"], k) * (e_mu @ k - e_mu[2])
 
-    return AngularDistribution(
-        f"motion_{axis}",
-        func,
-        params={"kind": "motion", "axis": axis, "arg_alpha0": arg_alpha0},
-        rule=rule,
-    )
+    return AngularDistribution(f"motion_{axis}", func, rule=rule)
 
 
-def make_libration_distribution(axis, arg_alpha0=0.0, rule=DEFAULT_RULE):
+def make_libration_distribution(axis, rule=DEFAULT_RULE):
     """Dipole coupling pattern of libration about the y or z axis:
-    -exp(i arg_alpha0) * sqrt(3 / (8 pi)) * (pol . e_axis)."""
+    -sqrt(3 / (8 pi)) * [e_axis - (e_axis . k) k]."""
     if axis not in ("y", "z"):
         raise ConfigError(f"libration axis must be y or z, got {axis!r}")
-    if not np.isfinite(arg_alpha0):
-        raise ConfigError("arg_alpha0 must be finite")
     e_mu = AXES[axis]
-    prefactor = -np.exp(1j * arg_alpha0) * np.sqrt(3.0 / (8.0 * np.pi))
+    prefactor = -np.sqrt(3.0 / (8.0 * np.pi))
 
-    def func(theta, phi):
-        return prefactor * _polarization_projection(theta, phi, e_mu)
+    def func(k):
+        return prefactor * _transverse(e_mu, k)
 
-    return AngularDistribution(
-        f"libration_{axis}",
-        func,
-        params={"kind": "libration", "axis": axis, "arg_alpha0": arg_alpha0},
-        rule=rule,
-    )
+    return AngularDistribution(f"libration_{axis}", func, rule=rule)
 
 
 def make_mode(kind, axis, rule=DEFAULT_RULE):
@@ -325,8 +280,8 @@ def make_gaussian_beam(na, propagation_axis, polarization_angle=0.0, rule=DEFAUL
     """Focused-Gaussian angular envelope, linearly polarized.
 
     exp(-(sin v / NA)^2) on the hemisphere centered on the propagation
-    axis (v = angle from the axis), with the transverse-projection
-    polarization pattern -(pol . p) of the linear polarization vector p.
+    axis (v = angle from the axis), carrying the transverse field
+    -[p - (p . k) k] of the linear polarization vector p.
     The normalization constant is always computed numerically.
     """
     if not (0.0 < na <= 1.0):
@@ -338,25 +293,13 @@ def make_gaussian_beam(na, propagation_axis, polarization_angle=0.0, rule=DEFAUL
     u, v = beam_frame(n)
     pol_vec = np.cos(polarization_angle) * u + np.sin(polarization_angle) * v
 
-    def func(theta, phi):
-        e_k, _, _ = spherical_basis(theta, phi)
-        cos_v = np.tensordot(n, e_k, axes=(0, 0))
+    def func(k):
+        cos_v = n @ k
         sin2_v = np.clip(1.0 - cos_v**2, 0.0, None)
         envelope = np.where(cos_v > 0.0, np.exp(-sin2_v / na**2), 0.0)
-        return -_polarization_projection(theta, phi, pol_vec) * envelope
+        return -_transverse(pol_vec, k) * envelope
 
-    return AngularDistribution(
-        f"gaussian_na{na:g}",
-        func,
-        support_axis=n,
-        params={
-            "kind": "gaussian",
-            "na": na,
-            "axis": n.tolist(),
-            "polarization_angle": polarization_angle,
-        },
-        rule=rule,
-    )
+    return AngularDistribution(f"gaussian_na{na:g}", func, support_axis=n, rule=rule)
 
 
 def make_beam(na, axis=(0.0, 0.0, -1.0), polarization_angle=0.0, weight=0.0, rule=DEFAULT_RULE):
@@ -378,29 +321,22 @@ def make_beam(na, axis=(0.0, 0.0, -1.0), polarization_angle=0.0, weight=0.0, rul
 def rotated(dist: AngularDistribution, rotation, rule=None):
     """The distribution carried along by a rigid rotation of space.
 
-    Amplitudes are evaluated at the pulled-back direction and the
-    transverse field vector is rotated, then re-expressed in the global
-    (e_theta, e_phi) basis.
+    The field at k is the rotated field at the pulled-back direction
+    rot^T k.
     """
     rot = np.asarray(rotation, float)
     if rot.shape != (3, 3) or not np.allclose(rot @ rot.T, np.eye(3), atol=1e-12):
         raise ConfigError("rotation must be a 3x3 orthogonal matrix")
 
-    def func(theta, phi):
-        e_k, e_t, e_p = spherical_basis(theta, phi)
-        theta0, phi0 = angles_from_vectors(rot.T @ e_k)
-        a0 = dist.amplitude(theta0, phi0)
-        _, e_t0, e_p0 = spherical_basis(theta0, phi0)
-        field = rot @ (a0[0] * e_t0 + a0[1] * e_p0)
-        return np.stack([np.sum(field * e_t, axis=0), np.sum(field * e_p, axis=0)])
+    def func(k):
+        return rot @ dist.amplitude(rot.T @ k)
 
     axis = None if dist.support_axis is None else rot @ dist.support_axis
     return AngularDistribution(
         f"{dist.label}_rotated",
         func,
         support_axis=axis,
-        params=dict(dist.params, rotated=True),
-        rule=rule or dist.norm_rule,
+        rule=rule or dist.rule,
         normalize=False,
     )
 
@@ -416,10 +352,10 @@ def superpose(distributions, weights, label="superposition", rule=DEFAULT_RULE):
         raise ConfigError("need equally many distributions and weights, at least one")
     weights = [complex(w) for w in weights]
 
-    def func(theta, phi):
-        total = weights[0] * distributions[0].amplitude(theta, phi)
+    def func(k):
+        total = weights[0] * distributions[0].amplitude(k)
         for d, w in zip(distributions[1:], weights[1:]):
-            total = total + w * d.amplitude(theta, phi)
+            total = total + w * d.amplitude(k)
         return total
 
     axes = [d.support_axis for d in distributions]

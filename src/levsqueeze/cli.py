@@ -480,21 +480,16 @@ def wigner(run, opt):
     r_s = squeeze.db_to_r(parse_number(opt.db, "db"))
     phi = parse_number(opt.phase, "phase")
     if opt.source == "bare":
-        cov = detect.wigner_covariance("bare-squeezed-mode", r=r_s, phi=phi)
+        cov, det = detect.wigner_covariance("bare-squeezed-mode", r=r_s, phi=phi)
     elif opt.source == "input":
-        spectra = squeeze.input_spectra(
-            squeeze.OverlapResult(xi=opt.xi),
-            squeeze.SqueezeParams(r_s=r_s, phi_s=phi),
-            absolute_phase=False,
-        )
-        cov = detect.wigner_covariance("interacting-input", spectra=spectra)
+        cov, det = detect.wigner_covariance("interacting-input", r=r_s, phi=phi, xi=opt.xi)
     else:
         raise ConfigError(f"wigner source must be bare or input, got {opt.source!r}")
-    x, y, w = detect.wigner_grid(cov, n=opt.grid_n)
+    x, y, w = detect.wigner_grid(cov, det, n=opt.grid_n)
     xx, yy = np.meshgrid(x, y, indexing="ij")
     rows = np.column_stack([xx.ravel(), yy.ravel(), w.ravel()]).tolist()
     write_csv(run.path("wigner.csv"), ["x", "y", "w"], rows)
-    meta = {"covariance": cov.tolist(), "determinant": float(np.linalg.det(cov)), "source": opt.source}
+    meta = {"covariance": cov.tolist(), "determinant": det, "source": opt.source}
     write_json(run.path("wigner_covariance.json"), meta)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalFailure
-from .squeeze import InputSpectra, OverlapResult, SqueezeParams, input_spectra
+from .squeeze import InputSpectra, OverlapResult, SqueezeParams, input_spectra, pure_spectra, spectra_determinant
 
 # "omega << Omega" idealization: |Re chi/chi| differs from 1 by < 1e-6 here
 LOW_FREQ_OMEGA_RATIO = 1e-3
@@ -156,7 +156,7 @@ def sensitivity_heatmap(e2r_values, xi2_values, chi: Susceptibility):
 def bare_mode_covariance(r: float, phi: float) -> np.ndarray:
     """Covariance of the bare squeezed mode (vacuum = identity, det = 1):
     the |xi| = 1 input spectra at offset phi, quadratures swapped."""
-    s = input_spectra(OverlapResult(xi=1.0), SqueezeParams(r_s=r, phi_s=phi), absolute_phase=False)
+    s = pure_spectra(r, phi)
     return np.array([[s.syy, s.scross], [s.scross, s.sxx]])
 
 
@@ -167,31 +167,35 @@ def interacting_input_covariance(spectra: InputSpectra) -> np.ndarray:
     )
 
 
-def wigner_covariance(source: str, *, spectra: InputSpectra = None, r: float = None, phi: float = None) -> np.ndarray:
-    """Covariance matrix for the requested Gaussian state.
+def wigner_covariance(source: str, *, r: float, phi: float, xi: complex = 1.0):
+    """Covariance matrix of the requested Gaussian state and its determinant.
 
-    source "interacting-input" uses the spectra; "bare-squeezed-mode" uses
-    (r, phi). Raises on a non-positive-definite result, which would signal
-    a convention bug rather than a physical regime.
+    source "interacting-input" is the input mode of overlap xi at offset
+    phi; "bare-squeezed-mode" is the squeezed mode itself (|xi| = 1) at
+    phase phi. The determinant is the closed form spectra_determinant,
+    exactly 1 for the bare mode. Raises on a non-positive-definite result,
+    which would signal a convention bug rather than a physical regime.
     """
     if source == "interacting-input":
-        if spectra is None:
-            raise ConfigError("interacting-input covariance requires spectra")
-        cov = interacting_input_covariance(spectra)
+        overlap = OverlapResult(xi=xi)
+        cov = interacting_input_covariance(
+            input_spectra(overlap, SqueezeParams(r_s=r, phi_s=phi), absolute_phase=False)
+        )
     elif source == "bare-squeezed-mode":
-        if r is None or phi is None:
-            raise ConfigError("bare-mode covariance requires r and phi")
+        overlap = OverlapResult(xi=1.0)
         cov = bare_mode_covariance(r, phi)
     else:
         raise ConfigError(f"unknown Wigner source {source!r}")
-    if np.linalg.det(cov) <= 0 or cov[0, 0] <= 0:
+    det = spectra_determinant(overlap, r)
+    if det <= 0 or cov[0, 0] <= 0:
         raise NumericalFailure("covariance matrix is not positive definite")
-    return cov
+    return cov, det
 
 
-def wigner_grid(cov: np.ndarray, n: int = 201, half_width_sigmas: float = 8.0):
+def wigner_grid(cov: np.ndarray, det: float, n: int = 201, half_width_sigmas: float = 8.0):
     """Gaussian Wigner function on a square grid around the origin.
 
+    det is the determinant of cov; the inverse is the adjugate over it.
     Returns (x, y, w) with w of shape (n, n); integrates to 1 for a window
     wide enough to contain the state.
     """
@@ -202,7 +206,6 @@ def wigner_grid(cov: np.ndarray, n: int = 201, half_width_sigmas: float = 8.0):
     x = np.linspace(-half, half, n)
     y = np.linspace(-half, half, n)
     xx, yy = np.meshgrid(x, y, indexing="ij")
-    inv = np.linalg.inv(cov)
-    quad = inv[0, 0] * xx**2 + 2.0 * inv[0, 1] * xx * yy + inv[1, 1] * yy**2
-    w = np.exp(-0.5 * quad) / (2.0 * np.pi * math.sqrt(np.linalg.det(cov)))
+    quad = (cov[1, 1] * xx**2 - 2.0 * cov[0, 1] * xx * yy + cov[0, 0] * yy**2) / det
+    w = np.exp(-0.5 * quad) / (2.0 * np.pi * math.sqrt(det))
     return x, y, w

@@ -17,21 +17,14 @@ from .errors import NumericalFailure
 NUMBER_FORMAT = "%.12g"
 
 
-def format_number(value) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, (int,)):
-        return str(value)
-    return NUMBER_FORMAT % float(value)
-
-
-def _atomic_write(path, text):
+def _atomic_write(path, *parts):
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
-            handle.write(text)
+            for part in parts:
+                handle.write(part)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -40,12 +33,15 @@ def _atomic_write(path, text):
 
 
 def write_csv(path, header, rows):
-    body = "".join(",".join(format_number(v) for v in row) + "\n" for row in rows)
+    """Write rows of numbers under `header`. Every cell is NUMBER_FORMAT,
+    which prints integers below 1e12 as they are."""
+    line = ",".join([NUMBER_FORMAT] * len(header)) + "\n"
+    body = "".join(line % tuple(row) for row in rows)
     # NUMBER_FORMAT prints non-finite values as nan, inf or -inf, the only
     # cells holding an "n", so one scan of the body finds them all.
     if "n" in body:
         raise NumericalFailure(f"non-finite value in {os.path.basename(path)}")
-    _atomic_write(path, ",".join(header) + "\n" + body)
+    _atomic_write(path, ",".join(header) + "\n", body)
 
 
 def write_json(path, payload):

@@ -9,14 +9,13 @@ section is reported as a dimensionless shape factor, in units of
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angular import AngularDistribution, DEFAULT_RULE, QuadratureRule, integrate_sphere
+from .angular import AngularDistribution, DEFAULT_RULE, QuadratureRule, integrate_sphere, spherical_basis
 from .errors import ConfigError, NumericalFailure
-from .squeeze import OverlapResult, SqueezeParams, mode_overlap, recoil_ratio, relative_phase
+from .squeeze import OverlapResult, SqueezeParams, mode_overlap, pure_spectra, recoil_ratio, relative_phase
 
 
 @dataclass
@@ -45,9 +44,11 @@ class ScatterConfig:
 
     @property
     def g(self):
-        """Squeezing coefficient xi * s0 * (s0 - c0 e^{i Phi})."""
-        s0, c0 = self.sq.s0, self.sq.c0
-        return self.xi.xi * s0 * (s0 - c0 * cmath.exp(1j * self.relative_phase))
+        """Squeezing coefficient xi s0 (s0 - c0 e^{i Phi}) (s0 = sinh r,
+        c0 = cosh r), read as xi ((sxx - 1) + i scross) / 2 from the pure
+        spectra at Phi, which do not cancel at high squeezing."""
+        pure = pure_spectra(self.sq.r_s, self.relative_phase)
+        return self.xi.xi * complex(pure.sxx - 1.0, pure.scross) / 2.0
 
     @property
     def ratio(self):
@@ -55,38 +56,36 @@ class ScatterConfig:
         return recoil_ratio(self.xi, self.sq, absolute_phase=self.absolute_phase)
 
 
-def scattering_amplitudes(cfg: ScatterConfig, theta, phi):
-    """Per-polarization amplitudes (f_plus, f_minus), each of shape (2, n).
+def scattering_amplitudes(cfg: ScatterConfig, k):
+    """Scattered transverse fields (f_plus, f_minus) at the (3, n) unit
+    vectors k, each of shape (3, n).
 
-    f_plus annihilates a photon into direction (theta, phi) while creating
-    a phonon; f_minus annihilates both (it exists only with squeezing and
-    only on the beam support).
+    f_plus annihilates a photon into direction k while creating a phonon;
+    f_minus annihilates both (it exists only with squeezing and only on the
+    beam support).
     """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    a_mode = cfg.mode.amplitude(theta, phi)
-    a_beam = cfg.beam.amplitude(theta, phi)
     g = cfg.g
-    f_plus = -(a_mode + np.conj(a_beam) * g)
-    f_minus = -np.conj(a_beam) * np.conj(g)
+    beam_conj = np.conj(cfg.beam.amplitude(k))
+    f_plus = -(cfg.mode.amplitude(k) + beam_conj * g)
+    f_minus = -np.conj(g) * beam_conj
     return f_plus, f_minus
 
 
-def differential_cross_section(cfg: ScatterConfig, theta, phi):
-    """Polarization-summed d sigma / d Omega at the given directions.
+def differential_cross_section(cfg: ScatterConfig, k):
+    """Polarization-summed d sigma / d Omega at the unit vectors k.
 
     Pointwise values may be negative for strong squeezing; only the
     integral is guaranteed positive. Values are reported unclipped.
     """
-    f_plus, f_minus = scattering_amplitudes(cfg, theta, phi)
-    return np.sum(np.abs(f_plus) ** 2 - np.abs(f_minus) ** 2, axis=0).real
+    f_plus, f_minus = scattering_amplitudes(cfg, k)
+    return np.sum(np.abs(f_plus) ** 2 - np.abs(f_minus) ** 2, axis=0)
 
 
 def integrated_cross_section(cfg: ScatterConfig):
     """Quadrature integral of d sigma / d Omega over the full sphere."""
 
-    def integrand(theta, phi):
-        f_plus, f_minus = scattering_amplitudes(cfg, theta, phi)
+    def integrand(k):
+        f_plus, f_minus = scattering_amplitudes(cfg, k)
         return np.abs(f_plus) ** 2 - np.abs(f_minus) ** 2
 
     axis = cfg.beam.support_axis
@@ -119,7 +118,8 @@ def irp_grid(cfg: ScatterConfig, n_theta=181, n_phi=360) -> IRPGrid:
     theta = np.linspace(0.0, np.pi, n_theta)
     phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
     tt, pp = np.meshgrid(theta, phi, indexing="ij")
-    f_plus, f_minus = scattering_amplitudes(cfg, tt.ravel(), pp.ravel())
+    k = spherical_basis(tt.ravel(), pp.ravel())[0]
+    f_plus, f_minus = scattering_amplitudes(cfg, k)
     fp2 = np.sum(np.abs(f_plus) ** 2, axis=0).reshape(n_theta, n_phi)
     fm2 = np.sum(np.abs(f_minus) ** 2, axis=0).reshape(n_theta, n_phi)
     dsigma = fp2 - fm2

@@ -39,14 +39,6 @@ class SqueezeParams:
             raise ConfigError("squeezing degree r_s must be non-negative")
         object.__setattr__(self, "phi_s", float(self.phi_s) % (2.0 * np.pi))
 
-    @property
-    def s0(self):
-        return math.sinh(self.r_s)
-
-    @property
-    def c0(self):
-        return math.cosh(self.r_s)
-
 
 @dataclass(frozen=True)
 class OverlapResult:
@@ -120,21 +112,37 @@ class InputSpectra:
 def input_spectra(xi: OverlapResult, sq: SqueezeParams, absolute_phase=True) -> InputSpectra:
     """Quadrature spectra of the interacting input mode at offset Phi.
 
-    sxx = (1 - |xi|^2) + |xi|^2 [e^{2r} sin^2(Phi/2) + e^{-2r} cos^2(Phi/2)]
+    sxx = (1 - |xi|^2) + |xi|^2 [e^{-2r} + 2 sinh(2r) sin^2(Phi/2)], which
+    equals (1 - |xi|^2) + |xi|^2 [e^{2r} sin^2(Phi/2) + e^{-2r} cos^2(Phi/2)],
     is the recoil heating ratio Gamma/Gamma0; syy swaps sin and cos, and
     scross = -|xi|^2 sinh(2r) sin Phi. Sums of non-negative terms keep full
-    relative precision at any squeezing degree.
+    relative precision at any squeezing degree, and the bracket is exactly 1
+    without squeezing.
     """
     phi = relative_phase(xi, sq, absolute_phase)
     m2 = xi.modulus**2
-    sin2 = math.sin(phi / 2.0) ** 2
-    cos2 = math.cos(phi / 2.0) ** 2
-    grow, shrink = math.exp(2.0 * sq.r_s), math.exp(-2.0 * sq.r_s)
+    sinh2r = math.sinh(2.0 * sq.r_s)
+    shrink = math.exp(-2.0 * sq.r_s)
     return InputSpectra(
-        sxx=(1.0 - m2) + m2 * (grow * sin2 + shrink * cos2),
-        syy=(1.0 - m2) + m2 * (grow * cos2 + shrink * sin2),
-        scross=-m2 * math.sinh(2.0 * sq.r_s) * math.sin(phi),
+        sxx=(1.0 - m2) + m2 * (shrink + 2.0 * sinh2r * math.sin(phi / 2.0) ** 2),
+        syy=(1.0 - m2) + m2 * (shrink + 2.0 * sinh2r * math.cos(phi / 2.0) ** 2),
+        scross=-m2 * sinh2r * math.sin(phi),
     )
+
+
+def pure_spectra(r_s: float, phase: float) -> InputSpectra:
+    """The |xi| = 1 input spectra at offset `phase`: those of the squeezed
+    mode itself."""
+    return input_spectra(OverlapResult(xi=1.0), SqueezeParams(r_s=r_s, phi_s=phase), absolute_phase=False)
+
+
+def spectra_determinant(xi: OverlapResult, r_s: float) -> float:
+    """det S = sxx syy - scross^2 in closed form,
+    (1 - |xi|^2)^2 + 2 (1 - |xi|^2) |xi|^2 cosh 2r + |xi|^4: a sum of
+    non-negative terms, exactly 1 for |xi| = 1, where the product of the
+    rounded spectra cancels at high squeezing."""
+    m2 = xi.modulus**2
+    return (1.0 - m2) ** 2 + 2.0 * (1.0 - m2) * m2 * math.cosh(2.0 * r_s) + m2**2
 
 
 def recoil_ratio(xi: OverlapResult, sq: SqueezeParams, absolute_phase=True) -> float:
@@ -156,21 +164,17 @@ def cross_rate(
     Gamma_ab = Gamma0 delta_ab
              + 2 sqrt(Gamma0_a Gamma0_b) |xi_a xi_b|
                [s0^2 - s0 c0 cos(phi_s - psi_a - psi_b)]
+             = Gamma0 delta_ab + sqrt(Gamma0_a Gamma0_b) |xi_a xi_b| (sxx - 1)
+
+    with sxx of the pure spectra at phase phi_s - psi_a - psi_b. The
+    coupling is subtracted before sxx is added, so the diagonal keeps the
+    squeezed floor Gamma0 e^{-2r} at full precision.
     """
     if g0_a < 0 or g0_b < 0:
         raise ConfigError("bare recoil rates must be non-negative")
-    s0, c0 = sq.s0, sq.c0
-    phase = sq.phi_s - xi_a.phase - xi_b.phase
-    value = (
-        2.0
-        * math.sqrt(g0_a * g0_b)
-        * xi_a.modulus
-        * xi_b.modulus
-        * (s0**2 - s0 * c0 * math.cos(phase))
-    )
-    if diagonal:
-        value += g0_a
-    return value
+    sxx = pure_spectra(sq.r_s, sq.phi_s - xi_a.phase - xi_b.phase).sxx
+    coupling = math.sqrt(g0_a * g0_b) * xi_a.modulus * xi_b.modulus
+    return ((g0_a if diagonal else 0.0) - coupling) + coupling * sxx
 
 
 def recoil_sweep(

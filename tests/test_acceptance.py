@@ -241,16 +241,15 @@ def test_criterion_11_orthonormality_and_geometry_factors():
                 worst = max(worst, abs(got - want))
 
     # geometry factors: the squared norm of the unnormalized pattern
-    # (3/(8 pi)) |(pol . e_x)|^2 |(e_k - e_z) . e_mu|^2 must integrate to l_mu
+    # (3/(8 pi)) |e_x - (e_x . k) k|^2 |(k - e_z) . e_mu|^2
+    # = (3/(8 pi)) (1 - k_x^2) (k . e_mu - e_mu,z)^2 must integrate to l_mu
     factor_err = 0.0
     for axis, l_mu in (("x", 0.2), ("y", 0.4), ("z", 1.4)):
         e_mu = angular.AXES[axis]
 
-        def raw(theta, phi, e_mu=e_mu):
-            e_k, e_t, e_p = angular.spherical_basis(theta, phi)
-            pol_x = np.stack([e_t[0], e_p[0]])
-            geometry = np.tensordot(e_mu, e_k, axes=(0, 0)) - e_mu[2]
-            return (3.0 / (8.0 * np.pi)) * np.abs(pol_x * geometry) ** 2
+        def raw(k, e_mu=e_mu):
+            geometry = e_mu @ k - e_mu[2]
+            return (3.0 / (8.0 * np.pi)) * (1.0 - k[0] ** 2)[None] * geometry**2
 
         integral = angular.integrate_sphere(raw).real
         factor_err = max(factor_err, abs(integral - l_mu))

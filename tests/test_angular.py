@@ -7,9 +7,10 @@ from levsqueeze.errors import ConfigError, NumericalFailure
 
 def test_quadrature_weights_sum_to_sphere():
     for axis in (None, [0, 0, -1], [1, 1, 1]):
-        _, _, w = angular.DEFAULT_RULE.nodes(axis=axis)
+        k, w = angular.DEFAULT_RULE.nodes(axis=axis)
         assert w.sum() == pytest.approx(4.0 * np.pi, rel=1e-13)
         assert (w > 0).all()
+        assert np.allclose(np.sum(k * k, axis=0), 1.0, rtol=0, atol=1e-15)
 
 
 def test_quadrature_rejects_bad_sizes():
@@ -21,14 +22,14 @@ def test_quadrature_rejects_bad_sizes():
 
 def test_integrate_constant():
     value = angular.integrate_sphere(
-        lambda t, p: np.stack([np.ones_like(t), np.zeros_like(t)])
+        lambda k: np.stack([np.ones_like(k[0]), np.zeros_like(k[0])])
     )
     assert value == pytest.approx(4.0 * np.pi, rel=1e-13)
 
 
 def test_integrate_rejects_nonfinite():
-    def bad(theta, phi):
-        out = np.stack([np.ones_like(theta), np.zeros_like(theta)])
+    def bad(k):
+        out = np.stack([np.ones_like(k[0]), np.zeros_like(k[0])])
         out[0, 3] = np.nan
         return out
 
@@ -79,8 +80,8 @@ def test_beam_requires_valid_na():
 
 def test_beam_support_hemisphere():
     beam = angular.make_gaussian_beam(na=0.7, propagation_axis=[0, 0, -1])
-    forward = beam.amplitude(np.array([0.3]), np.array([0.0]))
-    backward = beam.amplitude(np.array([np.pi - 0.3]), np.array([0.0]))
+    forward = beam.amplitude(angular.spherical_basis([0.3], [0.0])[0])
+    backward = beam.amplitude(angular.spherical_basis([np.pi - 0.3], [0.0])[0])
     assert np.all(forward == 0.0)
     assert np.any(np.abs(backward) > 0.0)
 
@@ -123,7 +124,7 @@ def test_unnormalized_overlap_warns():
     beam = angular.make_gaussian_beam(na=0.5, propagation_axis=[0, 0, -1])
     shrunk = angular.AngularDistribution(
         "half",
-        lambda t, p: 0.5 * beam.amplitude(t, p),
+        lambda k: 0.5 * beam.amplitude(k),
         support_axis=beam.support_axis,
         normalize=False,
     )

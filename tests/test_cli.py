@@ -9,6 +9,7 @@ import pytest
 
 from levsqueeze import cli
 from levsqueeze.cli import OPTIONS, config_schema, main, parse_beam_spec, parse_db_range, parse_number, parse_quad
+from levsqueeze.angular import QuadratureRule, integrate_sphere, make_beam, make_mode, overlap
 from levsqueeze.errors import ConfigError, NumericalFailure
 from levsqueeze.io import write_csv, write_json
 
@@ -128,8 +129,9 @@ def test_writers_reject_nonfinite(tmp_path):
         with pytest.raises(NumericalFailure):
             write_json(tmp_path / "t.json", {"nested": [1.0, bad]})
     assert os.listdir(tmp_path) == []
-    write_csv(tmp_path / "t.csv", ["a", "flag"], [[1e300, True], [-2, False]])
-    assert (tmp_path / "t.csv").read_text() == "a,flag\n1e+300,true\n-2,false\n"
+    # every cell is "%.12g", which prints integers (optimize_trace.csv) as they are
+    write_csv(tmp_path / "t.csv", ["a", "evaluation"], [[1e300, 0], [-2.5, 399]])
+    assert (tmp_path / "t.csv").read_text() == "a,evaluation\n1e+300,0\n-2.5,399\n"
 
 
 def test_internal_value_error_is_not_a_config_error(tmp_path, monkeypatch):
@@ -197,14 +199,38 @@ def test_wigner_outputs(tmp_path):
         (["wigner", "--db", "80", "--phase", "0"], "wigner_covariance.json", "determinant"),
         (["wigner", "--db", "100", "--phase", "0"], "wigner_covariance.json", "determinant"),
         (["wigner", "--source", "input", "--xi", "1", "--db", "60", "--phase", "0"], "wigner_covariance.json", "determinant"),
+        (["wigner", "--db", "80", "--phase", "1"], "wigner_covariance.json", "determinant"),
+        (["wigner", "--db", "100", "--phase", "1"], "wigner_covariance.json", "determinant"),
     ],
-    ids=["sensitivity-40dB", "sensitivity-80dB", "wigner-80dB", "wigner-100dB", "wigner-input-60dB"],
+    ids=[
+        "sensitivity-40dB",
+        "sensitivity-80dB",
+        "wigner-80dB",
+        "wigner-100dB",
+        "wigner-input-60dB",
+        "wigner-80dB-phase1",
+        "wigner-100dB-phase1",
+    ],
 )
 def test_pure_state_exact_at_high_squeezing(tmp_path, args, artifact, key):
-    # |xi| = 1 at phase 0 is a pure squeezed state: det S = 1 and s_min_opt = 1
+    # |xi| = 1 is a pure squeezed state at any phase: det S = 1, and at
+    # phase 0 s_min_opt = 1
     assert run(tmp_path, *args) == 0
     value = json.loads((tmp_path / artifact).read_text())[key]
     assert value == pytest.approx(1.0, abs=1e-12)
+
+
+def test_quad_reaches_overlaps(tmp_path):
+    # the written overlap is integrated on the --quad rule, not on the
+    # default 64x128 one (4.5e-10 away for this oblique beam)
+    assert run(tmp_path, "--quad", "16x32", "recoil", "--axis", "z", "--beam", "na=0.8,axis=-x") == 0
+    written = json.loads((tmp_path / "recoil_params.json").read_text())["overlaps"]["ratio_na0.8_-x"]
+    rule = QuadratureRule(16, 32)
+    beam, mode = make_beam(0.8, [-1.0, 0.0, 0.0], rule=rule), make_mode("motion", "z", rule=rule)
+    xi = integrate_sphere(lambda k: beam.amplitude(k) * mode.amplitude(k), rule, axis=beam.support_axis)
+    assert complex(written["re"], written["im"]) == xi
+    default = overlap(make_beam(0.8, [-1.0, 0.0, 0.0]), make_mode("motion", "z"))
+    assert abs(xi - default) > 1e-11
 
 
 def test_cli_rerun_byte_identical(tmp_path):

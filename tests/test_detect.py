@@ -169,8 +169,8 @@ def test_correlation_psd():
 
 
 def test_wigner_covariances():
-    vac = detect.wigner_covariance("bare-squeezed-mode", r=0.0, phi=0.0)
-    assert np.allclose(vac, np.eye(2))
+    vac, det = detect.wigner_covariance("bare-squeezed-mode", r=0.0, phi=0.0)
+    assert np.allclose(vac, np.eye(2)) and det == 1.0
     sq0 = detect.bare_mode_covariance(1.2, 0.0)
     assert sq0[0, 0] == pytest.approx(math.exp(2.4), rel=1e-12)
     assert sq0[1, 1] == pytest.approx(math.exp(-2.4), rel=1e-12)
@@ -178,15 +178,16 @@ def test_wigner_covariances():
         cov = detect.bare_mode_covariance(r, phi)
         assert np.linalg.det(cov) == pytest.approx(1.0, rel=1e-12)
     s = spectra_for(0.8, 1.0, 1.1)
-    cov = detect.wigner_covariance("interacting-input", spectra=s)
+    cov, det = detect.wigner_covariance("interacting-input", r=1.0, phi=1.1, xi=0.8)
     assert cov[0, 0] == s.sxx and cov[1, 1] == s.syy and cov[0, 1] == -s.scross
+    assert det == pytest.approx(s.uncertainty_determinant, rel=1e-12)
     with pytest.raises(ConfigError):
-        detect.wigner_covariance("nope")
+        detect.wigner_covariance("nope", r=1.0, phi=0.0)
 
 
 def test_wigner_grid_normalization():
     cov = detect.bare_mode_covariance(1.0, 0.7)
-    x, y, w = detect.wigner_grid(cov, n=401)
+    x, y, w = detect.wigner_grid(cov, 1.0, n=401)
     dx, dy = x[1] - x[0], y[1] - y[0]
     assert w.sum() * dx * dy == pytest.approx(1.0, abs=1e-6)
     assert w[200, 200] == pytest.approx(

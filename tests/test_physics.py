@@ -110,7 +110,7 @@ def test_coupling_normalization_consistency(particle, laser):
     scale = C**3 * mode.bare_recoil / (2.0 * np.pi * laser.omega0**2)
     dist = angular.make_motion_distribution("z")
     norm = angular.integrate_sphere(
-        lambda t, p: scale * np.abs(dist.amplitude(t, p)) ** 2
+        lambda k: scale * np.abs(dist.amplitude(k)) ** 2
     )
     assert norm.real == pytest.approx(scale, rel=1e-8)
 

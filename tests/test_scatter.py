@@ -5,6 +5,11 @@ from levsqueeze import angular, scatter, squeeze
 from levsqueeze.errors import ConfigError, NumericalFailure
 
 
+def direction(theta, phi):
+    """Unit propagation vectors at the given angles, shape (3, n)."""
+    return angular.spherical_basis(np.atleast_1d(theta), np.atleast_1d(phi))[0]
+
+
 def make_config(na=0.9, axis="z", kind="motion", db=15.0, phi=0.0, beam_axis=(0, 0, -1)):
     if kind == "motion":
         mode = angular.make_motion_distribution(axis)
@@ -19,16 +24,16 @@ def test_no_squeezing_recovers_bare():
     cfg = make_config(db=0.0)
     theta = np.linspace(0.1, np.pi - 0.1, 7)
     phi = np.linspace(0.0, 2 * np.pi, 7, endpoint=False)
-    f_plus, f_minus = scatter.scattering_amplitudes(cfg, theta, phi)
+    f_plus, f_minus = scatter.scattering_amplitudes(cfg, direction(theta, phi))
     assert np.allclose(f_minus, 0.0)
-    mode_amp = cfg.mode.amplitude(theta, phi)
+    mode_amp = cfg.mode.amplitude(direction(theta, phi))
     assert np.allclose(np.abs(f_plus), np.abs(mode_amp))
 
 
 def test_f_minus_vanishes_outside_beam_support():
     cfg = make_config()
     # beam propagates along -z: the +z hemisphere is outside its support
-    _, f_minus = scatter.scattering_amplitudes(cfg, [0.4], [1.0])
+    _, f_minus = scatter.scattering_amplitudes(cfg, direction([0.4], [1.0]))
     assert np.allclose(f_minus, 0.0)
 
 
@@ -41,12 +46,12 @@ def test_cross_section_matches_recoil_ratio():
 
 def test_bare_backscattering_dominates():
     cfg = make_config(db=0.0)
-    backward = scatter.differential_cross_section(cfg, [np.pi], [0.0])[0]
-    forward = scatter.differential_cross_section(cfg, [0.0], [0.0])[0]
+    backward = scatter.differential_cross_section(cfg, direction([np.pi], [0.0]))[0]
+    forward = scatter.differential_cross_section(cfg, direction([0.0], [0.0]))[0]
     sample_t = np.linspace(0.05, np.pi - 0.05, 40)
     sample_p = np.linspace(0, 2 * np.pi, 40, endpoint=False)
     tt, pp = np.meshgrid(sample_t, sample_p)
-    values = scatter.differential_cross_section(cfg, tt.ravel(), pp.ravel())
+    values = scatter.differential_cross_section(cfg, direction(tt.ravel(), pp.ravel()))
     assert forward == pytest.approx(0.0, abs=1e-15)
     assert backward >= values.max() - 1e-12
 
@@ -55,9 +60,9 @@ def test_bare_azimuthal_symmetry():
     cfg = make_config(db=0.0)
     theta = np.full(16, 2.0)
     phi = np.linspace(0.1, np.pi - 0.1, 16)
-    base = scatter.differential_cross_section(cfg, theta, phi)
-    mirrored = scatter.differential_cross_section(cfg, theta, -phi)
-    reflected = scatter.differential_cross_section(cfg, theta, np.pi - phi)
+    base = scatter.differential_cross_section(cfg, direction(theta, phi))
+    mirrored = scatter.differential_cross_section(cfg, direction(theta, -phi))
+    reflected = scatter.differential_cross_section(cfg, direction(theta, np.pi - phi))
     assert np.allclose(base, mirrored, rtol=1e-12, atol=1e-15)
     assert np.allclose(base, reflected, rtol=1e-12, atol=1e-15)
 
@@ -73,8 +78,20 @@ def test_perfect_overlap_strong_squeezing_kills_scattering():
     cfg = scatter.ScatterConfig(mode=mode, beam=beam, sq=sq, absolute_phase=False)
     assert cfg.xi.modulus == pytest.approx(1.0, abs=1e-10)
     theta = np.linspace(0.1, np.pi - 0.1, 9)
-    values = scatter.differential_cross_section(cfg, theta, np.ones_like(theta))
+    values = scatter.differential_cross_section(cfg, direction(theta, np.ones_like(theta)))
     assert np.max(np.abs(values)) < 2e-3  # ~ e^{-2r} * pattern scale
+
+
+def test_squeezing_coefficient_matches_ratio_at_high_squeezing():
+    # 2 Re(conj(xi) g) = ratio - 1 for a beam identical to the mode (|xi| = 1)
+    mode = angular.make_motion_distribution("z")
+    beam = angular.AngularDistribution("mode_clone", mode.amplitude, normalize=False)
+    for db in range(0, 81, 5):
+        sq = squeeze.SqueezeParams(r_s=squeeze.db_to_r(db), phi_s=0.0)
+        cfg = scatter.ScatterConfig(mode=mode, beam=beam, sq=sq, absolute_phase=False)
+        assert cfg.xi.modulus == pytest.approx(1.0, abs=1e-10)
+        got = 2.0 * (np.conj(cfg.xi.xi) * cfg.g).real
+        assert got == pytest.approx(cfg.ratio - 1.0, rel=1e-12)
 
 
 def test_unaffected_where_beam_dark():
@@ -83,8 +100,8 @@ def test_unaffected_where_beam_dark():
     # co-propagating beam leaves the -z hemisphere dark: bare pattern survives
     theta = np.linspace(np.pi / 2 + 0.05, np.pi - 0.05, 11)
     phi = np.linspace(0, 2 * np.pi, 11, endpoint=False)
-    a = scatter.differential_cross_section(bare, theta, phi)
-    b = scatter.differential_cross_section(squeezed, theta, phi)
+    a = scatter.differential_cross_section(bare, direction(theta, phi))
+    b = scatter.differential_cross_section(squeezed, direction(theta, phi))
     assert np.allclose(a, b, atol=1e-12)
 
 
@@ -110,8 +127,8 @@ def test_irp_suppression_grows_with_na():
 
 def test_libration_bare_donut():
     cfg = make_config(kind="libration", axis="y", db=0.0)
-    along = scatter.differential_cross_section(cfg, [np.pi / 2], [np.pi / 2])[0]
-    perp = scatter.differential_cross_section(cfg, [np.pi / 2], [0.0])[0]
+    along = scatter.differential_cross_section(cfg, direction([np.pi / 2], [np.pi / 2]))[0]
+    perp = scatter.differential_cross_section(cfg, direction([np.pi / 2], [0.0]))[0]
     assert along == pytest.approx(0.0, abs=1e-15)
     assert perp > 0.1
 
@@ -125,7 +142,7 @@ def test_irp_grid_validation():
 def test_unnormalized_beam_rejected():
     mode = angular.make_motion_distribution("z")
     beam = angular.AngularDistribution(
-        "dim", lambda t, p: 0.5 * mode.amplitude(t, p), normalize=False
+        "dim", lambda k: 0.5 * mode.amplitude(k), normalize=False
     )
     with pytest.raises(ConfigError):
         scatter.ScatterConfig(

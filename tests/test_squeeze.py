@@ -80,6 +80,16 @@ def test_cross_rate_diagonal_identity(rng):
         assert diag == pytest.approx(expected, rel=1e-12, abs=1e-12 * g0)
 
 
+def test_cross_rate_diagonal_exact_at_high_squeezing():
+    # |xi| = 1 at phase 0: the diagonal rate is the squeezed floor Gamma0 e^{-2r}
+    g0 = 123.4
+    for db in range(0, 81, 5):
+        sq = squeeze.SqueezeParams(r_s=squeeze.db_to_r(db), phi_s=0.0)
+        diag = squeeze.cross_rate(PERFECT, PERFECT, g0, g0, sq, diagonal=True)
+        assert diag == pytest.approx(g0 * squeeze.recoil_ratio(PERFECT, sq), rel=1e-12, abs=0.0)
+        assert diag == pytest.approx(g0 * math.exp(-2.0 * sq.r_s), rel=1e-12, abs=0.0)
+
+
 def test_cross_rate_trivial_cases():
     xi = squeeze.OverlapResult(xi=0.7 * np.exp(0.3j))
     none = squeeze.OverlapResult(xi=0.0j)

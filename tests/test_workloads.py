@@ -1,8 +1,11 @@
 """Every command of the benchmark workloads, at reduced size, run in-process
 and checked against the paper's closed forms by that command's own check
-in perfbench/workloads.py."""
+in perfbench/workloads.py; and one command through the benchmark's traced
+path, perfbench/traced.py."""
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -33,3 +36,26 @@ def test_workload_command_passes_its_check(tmp_path, command):
         args += ["--config", str(config)]
     assert main(args + command.args) == 0
     command.check(str(out))
+
+
+def test_traced_overlaps_use_the_quad_rule(tmp_path):
+    spans_path = tmp_path / "spans.json"
+    args = ["--out", str(tmp_path / "out"), "--quad", "16x32", "recoil", "--beam", "na=0.8,axis=-z"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "traced.py"), str(spans_path), "recoil", "--", *args],
+        env=env,
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads(spans_path.read_text())["spans"]
+    under_overlap = [
+        span
+        for span in spans
+        if span["name"] == "angular.integrate_sphere"
+        and span["parent"] is not None
+        and spans[span["parent"]]["name"] == "squeeze.mode_overlap"
+    ]
+    assert under_overlap and all(span["nodes"] == 16 * 32 for span in under_overlap)
