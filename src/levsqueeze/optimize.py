@@ -3,9 +3,13 @@
 Minimizes the recoil ratio or the phase-optimized sensitivity over a small
 parametric family of squeezed beams (numerical aperture, propagation axis,
 polarization angle, squeezing phase, optional two-beam superposition
-weight). Geometry is the expensive part: the overlap xi requires sphere
-quadrature, while the squeezing phase enters only through trigonometry, so
-overlap evaluations are cached by quantized geometry tuple.
+weight): a Latin hypercube scan, then a bounded Nelder-Mead simplex from
+its best point. Both are plain numpy and evaluate the same points, in the
+same order, as scipy's qmc.LatinHypercube and bounded
+minimize(method="Nelder-Mead") do. Geometry is the expensive part: the
+overlap xi requires sphere quadrature, while the squeezing phase enters
+only through trigonometry, so overlap evaluations are cached by quantized
+geometry tuple.
 """
 
 from __future__ import annotations
@@ -14,8 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize as sopt
-from scipy.stats import qmc
 
 from .angular import DEFAULT_RULE, QuadratureRule, make_beam, make_mode
 from .detect import low_frequency_susceptibility, s_min_opt_u
@@ -149,6 +151,105 @@ class _Evaluator:
         return value
 
 
+def latin_hypercube(d: int, n: int, seed: int) -> np.ndarray:
+    """n points in [0, 1)^d, one in each of the n strata of every coordinate.
+
+    Draws the jitter first, then one permutation per dimension, from
+    default_rng(seed), as scipy.stats.qmc.LatinHypercube(d, seed=seed)
+    .random(n) does, so the points are bit-identical to it.
+    """
+    rng = np.random.default_rng(seed)
+    jitter = rng.uniform(size=(n, d))
+    strata = np.tile(np.arange(1, n + 1), (d, 1))
+    for row in strata:
+        rng.shuffle(row)
+    return (strata.T - jitter) / n
+
+
+class _BudgetSpent(Exception):
+    """The simplex asked for an evaluation past its budget."""
+
+
+def _sorted(sim, fsim):
+    order = np.argsort(fsim)
+    return sim[order], fsim[order]
+
+
+def nelder_mead(func, x0, lower, upper, maxfev: int, xatol: float, fatol: float):
+    """Bounded Nelder-Mead simplex; returns (x, f) of its best vertex.
+
+    Standard coefficients (reflect 1, expand 2, contract 1/2, shrink 1/2),
+    every trial point clipped into [lower, upper]. The initial simplex
+    steps each coordinate of the clipped x0 by 5 % (0.00025 from zero),
+    reflected back below the upper bound. Stops when every vertex lies
+    within xatol of the best and every value within fatol, or after maxfev
+    calls of func, which receives a copy of each point. This is scipy's
+    minimize(method="Nelder-Mead", bounds=..., options={"maxfev", "xatol",
+    "fatol"}) step for step: the same points in the same order.
+    """
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        if calls >= maxfev:
+            raise _BudgetSpent
+        calls += 1
+        return func(np.copy(x))
+
+    x0 = np.clip(np.asarray(x0, dtype=float), lower, upper)
+    n = len(x0)
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
+    sim = np.clip(np.where(sim > upper, 2 * upper - sim, sim), lower, upper)
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetSpent:
+        pass
+    # scipy sorts the initial simplex twice; argsort need not keep ties in place
+    sim, fsim = _sorted(*_sorted(sim, fsim))
+
+    while calls < maxfev:
+        try:
+            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = np.clip(2 * xbar - sim[-1], lower, upper)
+            fxr = f(xr)
+            shrink = False
+            if fxr < fsim[0]:
+                xe = np.clip(3 * xbar - 2 * sim[-1], lower, upper)
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-1]:
+                xc = np.clip(1.5 * xbar - 0.5 * sim[-1], lower, upper)
+                fxc = f(xc)
+                if fxc <= fxr:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    shrink = True
+            else:
+                xcc = np.clip(0.5 * xbar + 0.5 * sim[-1], lower, upper)
+                fxcc = f(xcc)
+                if fxcc < fsim[-1]:
+                    sim[-1], fsim[-1] = xcc, fxcc
+                else:
+                    shrink = True
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = np.clip(sim[0] + 0.5 * (sim[j] - sim[0]), lower, upper)
+                    fsim[j] = f(sim[j])
+        except _BudgetSpent:
+            pass
+        sim, fsim = _sorted(sim, fsim)
+    return sim[0], fsim[0]
+
+
 def optimize(problem: OptimizationProblem, budget: int = 200, seed: int = 0) -> OptimizationResult:
     """Latin-hypercube scan followed by simplex refinement.
 
@@ -164,18 +265,13 @@ def optimize(problem: OptimizationProblem, budget: int = 200, seed: int = 0) -> 
     upper = np.array([problem.free[n][1] for n in problem.names])
 
     n_scan = max(budget // 3, 5 * d)
-    sampler = qmc.LatinHypercube(d=d, seed=seed)
-    for point in lower + sampler.random(n=n_scan) * (upper - lower):
+    for point in lower + latin_hypercube(d, n_scan, seed) * (upper - lower):
         evaluator(point)
 
     remaining = budget - n_scan
     if remaining > d + 1:
-        sopt.minimize(
-            evaluator,
-            evaluator.best[0],
-            method="Nelder-Mead",
-            bounds=list(zip(lower, upper)),
-            options={"maxfev": remaining, "xatol": 1e-10, "fatol": 1e-14},
+        nelder_mead(
+            evaluator, evaluator.best[0], lower, upper, maxfev=remaining, xatol=1e-10, fatol=1e-14
         )
     x0, best = evaluator.best
 

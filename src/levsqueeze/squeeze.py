@@ -94,12 +94,21 @@ class InputSpectra:
     sxx: float
     syy: float
     scross: float
+    determinant: float | None = None  # det S in closed form, where |xi| and r are known
 
     def __post_init__(self):
-        # The determinant of rounded spectra is resolved only to a relative
-        # precision of the products it subtracts.
         det = self.uncertainty_determinant
-        if det < 1.0 - UNCERTAINTY_SLACK * max(1.0, self.sxx * self.syy):
+        if self.determinant is None:
+            physical = det >= 1.0 - UNCERTAINTY_SLACK
+        else:
+            # The product of rounded spectra is resolved only to a relative
+            # precision of the terms it subtracts; the closed form carries
+            # the bound.
+            physical = (
+                self.determinant >= 1.0 - UNCERTAINTY_SLACK
+                and abs(det - self.determinant) <= UNCERTAINTY_SLACK * max(1.0, self.sxx * self.syy)
+            )
+        if not physical:
             raise NumericalFailure(
                 f"input spectra violate the uncertainty bound (det = {det:.12g})"
             )
@@ -127,6 +136,7 @@ def input_spectra(xi: OverlapResult, sq: SqueezeParams, absolute_phase=True) -> 
         sxx=(1.0 - m2) + m2 * (shrink + 2.0 * sinh2r * math.sin(phi / 2.0) ** 2),
         syy=(1.0 - m2) + m2 * (shrink + 2.0 * sinh2r * math.cos(phi / 2.0) ** 2),
         scross=-m2 * sinh2r * math.sin(phi),
+        determinant=spectra_determinant(xi, sq.r_s),
     )
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from levsqueeze import squeeze
-from levsqueeze.errors import ConfigError
+from levsqueeze.errors import ConfigError, NumericalFailure
 
 PERFECT = squeeze.OverlapResult(xi=1.0 + 0.0j)
 
@@ -104,6 +104,23 @@ def test_cross_rate_trivial_cases():
 def test_overlap_modulus_bound():
     with pytest.raises(ConfigError):
         squeeze.OverlapResult(xi=1.1 + 0.0j)
+
+
+def test_input_spectra_reject_unphysical_at_any_scale():
+    # a slack relative to sxx * syy would exceed 1 here and let det 0 through
+    for value in (1e5, 1e9):
+        with pytest.raises(NumericalFailure):
+            squeeze.InputSpectra(sxx=value, syy=value, scross=value)
+    # spectra that disagree with the closed-form determinant they carry
+    with pytest.raises(NumericalFailure):
+        squeeze.InputSpectra(sxx=2.0, syy=2.0, scross=0.0, determinant=1.0)
+    with pytest.raises(NumericalFailure):
+        squeeze.InputSpectra(sxx=1.0, syy=1.0, scross=0.0, determinant=0.5)
+    # at r = 10 the product of the rounded spectra cancels to 0; the closed
+    # form, not the product, carries the bound
+    pure = squeeze.pure_spectra(10.0, 0.3)
+    assert pure.determinant == 1.0
+    assert pure.uncertainty_determinant < 1.0 - squeeze.UNCERTAINTY_SLACK
 
 
 def test_recoil_sweep_perfect_column():
