@@ -34,6 +34,8 @@ from .optimize import OptimizationProblem, optimize as run_optimize
 
 CONFIG_DIR_ENV = "LEVSQUEEZE_CONFIG_DIR"
 PHYSICS_SECTIONS = ("laser", "particle", "rotor")
+# Largest quadrature error of a reported overlap that passes without a warning.
+QUADRATURE_WARNING = 1e-8
 
 # "x", "+x", "-x", ... -> unit vector
 AXIS_TOKENS = {
@@ -341,6 +343,18 @@ def command(name):
     return decorate
 
 
+def _flag_unresolved(error, what):
+    """Return the quadrature error of an exact overlap, after a warning on
+    stderr if it shows that the --quad rule does not resolve the beam."""
+    if error > QUADRATURE_WARNING:
+        click.echo(
+            f"warning: {what}: the --quad integral of the overlap is {error:.3g} from its exact value; "
+            "the rule does not resolve this beam",
+            err=True,
+        )
+    return error
+
+
 @command("recoil")
 def recoil(run, opt):
     """Recoil-heating ratio versus squeezing degree."""
@@ -350,7 +364,7 @@ def recoil(run, opt):
         params = parse_beam_spec(spec)
         beams[params.pop("label")] = params
     db_values = parse_db_range(opt.db)
-    header, rows, overlaps = squeeze.recoil_sweep(
+    header, rows, overlaps, errors = squeeze.recoil_sweep(
         beams,
         opt.axis,
         [squeeze.db_to_r(v) for v in db_values],
@@ -366,6 +380,8 @@ def recoil(run, opt):
     write_csv(run.path("recoil.csv"), header, rows)
 
     meta = {"overlaps": {k: {"re": xi.real, "im": xi.imag, "modulus": abs(xi)} for k, xi in overlaps.items()}}
+    for column, error in errors.items():
+        meta["overlaps"][column]["quadrature_error"] = _flag_unresolved(error, column)
     derived = run.derived_report()
     if derived is not None:
         meta["derived"] = derived
@@ -376,15 +392,20 @@ def recoil(run, opt):
 def irp(run, opt):
     """Differential cross section and information radiation pattern."""
     params = parse_beam_spec(opt.beam)
-    params.pop("label")
+    label = params.pop("label")
+    mode = make_mode(opt.kind, opt.axis, run.rule)
+    beam = make_beam(**params, rule=run.rule)
+    xi = squeeze.beam_overlap(opt.kind, opt.axis, params)
+    error = _flag_unresolved(squeeze.quadrature_error(xi, beam, mode), label)
     cfg = scatter.ScatterConfig(
-        mode=make_mode(opt.kind, opt.axis, run.rule),
-        beam=make_beam(**params, rule=run.rule),
+        mode=mode,
+        beam=beam,
         sq=squeeze.SqueezeParams(
             r_s=squeeze.db_to_r(parse_number(opt.db, "db")), phi_s=parse_number(opt.phase, "phase")
         ),
         absolute_phase=False,
         rule=run.rule,
+        xi=xi,
     )
     n_theta, n_phi = parse_grid(opt.grid, "irp grid")
     result = scatter.irp_grid(cfg, n_theta=n_theta, n_phi=n_phi)
@@ -394,9 +415,10 @@ def irp(run, opt):
     write_csv(
         run.path("irp.csv"),
         ["theta", "phi", "dsigma", "irp", "f_plus_sq", "f_minus_sq"],
-        np.column_stack([c.ravel() for c in columns]).tolist(),
+        np.column_stack([c.ravel() for c in columns]),
     )
-    write_json(run.path("irp_meta.json"), {"normalization": result.normalization, **result.metadata})
+    meta = {"normalization": result.normalization, "quadrature_error": error, **result.metadata}
+    write_json(run.path("irp_meta.json"), meta)
 
 
 @command("sensitivity")
@@ -465,12 +487,16 @@ def optimize_cmd(run, opt):
         rule=run.rule,
     )
     result = run_optimize(problem, budget=opt.budget, seed=run.seed)
-    summary = {name: getattr(result, name) for name in ("best_params", "best_value", "xi_modulus", "evaluations")}
+    _flag_unresolved(result.quadrature_error, "best point")
+    summary = {
+        name: getattr(result, name)
+        for name in ("best_params", "best_value", "xi_modulus", "evaluations", "quadrature_error")
+    }
     write_json(run.path("optimize_result.json"), summary)
     write_csv(
         run.path("optimize_trace.csv"),
         ["evaluation", "objective"],
-        [[i, v] for i, v in enumerate(result.trace)],
+        np.column_stack([np.arange(len(result.trace)), result.trace]),
     )
 
 
@@ -487,8 +513,7 @@ def wigner(run, opt):
         raise ConfigError(f"wigner source must be bare or input, got {opt.source!r}")
     x, y, w = detect.wigner_grid(cov, det, n=opt.grid_n)
     xx, yy = np.meshgrid(x, y, indexing="ij")
-    rows = np.column_stack([xx.ravel(), yy.ravel(), w.ravel()]).tolist()
-    write_csv(run.path("wigner.csv"), ["x", "y", "w"], rows)
+    write_csv(run.path("wigner.csv"), ["x", "y", "w"], np.column_stack([xx.ravel(), yy.ravel(), w.ravel()]))
     meta = {"covariance": cov.tolist(), "determinant": det, "source": opt.source}
     write_json(run.path("wigner_covariance.json"), meta)
 

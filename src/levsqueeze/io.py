@@ -12,12 +12,17 @@ import json
 import os
 import tempfile
 
+import numpy as np
+
 from .errors import NumericalFailure
 
 NUMBER_FORMAT = "%.12g"
+CSV_BLOCK_ROWS = 4096
 
 
-def _atomic_write(path, *parts):
+def _atomic_write(path, parts):
+    """Write the strings of the iterable `parts` to a temp file, then rename
+    it to `path`; an exception while writing leaves no file behind."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -33,15 +38,21 @@ def _atomic_write(path, *parts):
 
 
 def write_csv(path, header, rows):
-    """Write rows of numbers under `header`. Every cell is NUMBER_FORMAT,
-    which prints integers below 1e12 as they are."""
-    line = ",".join([NUMBER_FORMAT] * len(header)) + "\n"
-    body = "".join(line % tuple(row) for row in rows)
-    # NUMBER_FORMAT prints non-finite values as nan, inf or -inf, the only
-    # cells holding an "n", so one scan of the body finds them all.
-    if "n" in body:
+    """Write a table of numbers under `header`: `rows` is a 2-D array (or a
+    list of equal rows) with one column per header name. Every cell is
+    NUMBER_FORMAT, which prints integers below 1e12 as they are. The body is
+    formatted and written CSV_BLOCK_ROWS rows at a time."""
+    table = np.asarray(rows, dtype=float).reshape(-1, len(header))
+    if not np.isfinite(table).all():
         raise NumericalFailure(f"non-finite value in {os.path.basename(path)}")
-    _atomic_write(path, ",".join(header) + "\n", body)
+    line = ",".join([NUMBER_FORMAT] * len(header)) + "\n"
+
+    def blocks():
+        yield ",".join(header) + "\n"
+        for start in range(0, len(table), CSV_BLOCK_ROWS):
+            yield "".join(line % row for row in map(tuple, table[start : start + CSV_BLOCK_ROWS].tolist()))
+
+    _atomic_write(path, blocks())
 
 
 def write_json(path, payload):
@@ -49,4 +60,4 @@ def write_json(path, payload):
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:  # allow_nan=False: NaN or infinity in the payload
         raise NumericalFailure(f"{os.path.basename(path)}: {exc}") from None
-    _atomic_write(path, text + "\n")
+    _atomic_write(path, [text + "\n"])

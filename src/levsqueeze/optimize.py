@@ -6,10 +6,10 @@ polarization angle, squeezing phase, optional two-beam superposition
 weight): a Latin hypercube scan, then a bounded Nelder-Mead simplex from
 its best point. Both are plain numpy and evaluate the same points, in the
 same order, as scipy's qmc.LatinHypercube and bounded
-minimize(method="Nelder-Mead") do. Geometry is the expensive part: the
-overlap xi requires sphere quadrature, while the squeezing phase enters
-only through trigonometry, so overlap evaluations are cached by quantized
-geometry tuple.
+minimize(method="Nelder-Mead") do. Each evaluation computes the exact
+overlap xi of the beam (squeeze.beam_overlap) from radial moments of its
+envelope, with no sphere quadrature. The best point's xi is also integrated
+on the problem's rule, and their distance is the result's quadrature_error.
 """
 
 from __future__ import annotations
@@ -22,12 +22,11 @@ import numpy as np
 from .angular import DEFAULT_RULE, QuadratureRule, make_beam, make_mode
 from .detect import low_frequency_susceptibility, s_min_opt_u
 from .errors import ConfigError
-from .squeeze import OverlapResult, SqueezeParams, input_spectra, mode_overlap, recoil_ratio
+from .squeeze import OverlapResult, SqueezeParams, beam_overlap, input_spectra, quadrature_error, recoil_ratio
 
 GEOMETRY_PARAMETERS = ("na", "axis_theta", "axis_phi", "polarization_angle", "weight")
 PHASE_PARAMETER = "phi"
 SUPPORTED_PARAMETERS = GEOMETRY_PARAMETERS + (PHASE_PARAMETER,)
-CACHE_QUANTUM = 1e-12
 
 OBJECTIVES = ("recoil_ratio", "s_min_opt")
 
@@ -39,7 +38,8 @@ class OptimizationProblem:
     free: parameter name -> (lower, upper) bounds. fixed: values for the
     parameters not searched. phi is the phase offset phi_s - 2 arg(xi);
     weight in [0, 1] mixes the primary beam with one counter-propagating
-    along the same axis (0 = primary only).
+    along the same axis (0 = primary only). The search uses exact overlaps;
+    `rule` only checks the best one.
     """
 
     objective: str
@@ -83,16 +83,15 @@ class OptimizationResult:
     xi_modulus: float
     evaluations: int
     trace: list  # objective value per evaluation, in order
+    quadrature_error: float  # |xi - its integral on the problem's rule| at the best point
 
 
 class _Evaluator:
-    """Objective with a geometry-level overlap cache."""
+    """Objective of the search, recording every value and the lowest point."""
 
     def __init__(self, problem: OptimizationProblem):
         self.problem = problem
-        self.mode = make_mode(problem.mode_kind, problem.mode_axis, rule=problem.rule)
         self.chi = low_frequency_susceptibility(1.0)
-        self._cache = {}
         self.count = 0
         self.trace = []
         self.best = None  # (x, value) of the lowest evaluation so far
@@ -109,30 +108,19 @@ class _Evaluator:
         params.setdefault("phi", 0.0)
         return params
 
+    @staticmethod
+    def beam(params) -> dict:
+        """make_beam parameters of the search parameters."""
+        theta, phi = params["axis_theta"], params["axis_phi"]
+        return {
+            "na": params["na"],
+            "axis": (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)),
+            "polarization_angle": params["polarization_angle"],
+            "weight": params["weight"],
+        }
+
     def _overlap(self, params) -> OverlapResult:
-        key = tuple(
-            round(params[name] / CACHE_QUANTUM) for name in GEOMETRY_PARAMETERS
-        )
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        axis = np.array(
-            [
-                math.sin(params["axis_theta"]) * math.cos(params["axis_phi"]),
-                math.sin(params["axis_theta"]) * math.sin(params["axis_phi"]),
-                math.cos(params["axis_theta"]),
-            ]
-        )
-        beam = make_beam(
-            na=params["na"],
-            axis=axis,
-            polarization_angle=params["polarization_angle"],
-            weight=params["weight"],
-            rule=self.problem.rule,
-        )
-        result = mode_overlap(beam, self.mode)
-        self._cache[key] = result
-        return result
+        return beam_overlap(self.problem.mode_kind, self.problem.mode_axis, self.beam(params))
 
     def __call__(self, x):
         params = self.params_from_vector(x)
@@ -277,10 +265,16 @@ def optimize(problem: OptimizationProblem, budget: int = 200, seed: int = 0) -> 
 
     params = evaluator.params_from_vector(x0)
     xi = evaluator._overlap(params)
+    error = quadrature_error(
+        xi,
+        make_beam(**evaluator.beam(params), rule=problem.rule),
+        make_mode(problem.mode_kind, problem.mode_axis, rule=problem.rule),
+    )
     return OptimizationResult(
         best_params={n: float(v) for n, v in zip(problem.names, x0)},
         best_value=best,
         xi_modulus=xi.modulus,
         evaluations=evaluator.count,
         trace=evaluator.trace,
+        quadrature_error=error,
     )

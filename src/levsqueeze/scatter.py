@@ -9,7 +9,7 @@ section is reported as a dimensionless shape factor, in units of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +24,8 @@ class ScatterConfig:
 
     phi convention: sq.phi_s is the absolute squeezing phase when
     absolute_phase is True, otherwise the offset phi_s - 2 arg(xi).
+    xi is the beam's overlap with the mode: given (e.g. the exact
+    squeeze.beam_overlap of a Gaussian beam), or integrated by mode_overlap.
     """
 
     mode: AngularDistribution
@@ -31,12 +33,13 @@ class ScatterConfig:
     sq: SqueezeParams
     absolute_phase: bool = True
     rule: QuadratureRule = DEFAULT_RULE
-    xi: OverlapResult = field(init=False)
+    xi: OverlapResult | None = None
 
     def __post_init__(self):
         if not self.beam.is_normalized:
             raise ConfigError("beam distribution must be square-normalized")
-        self.xi = mode_overlap(self.beam, self.mode)
+        if self.xi is None:
+            self.xi = mode_overlap(self.beam, self.mode)
 
     @property
     def relative_phase(self):

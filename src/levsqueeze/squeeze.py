@@ -17,6 +17,7 @@ from .angular import (
     AngularDistribution,
     DEFAULT_RULE,
     QuadratureRule,
+    gaussian_overlap,
     make_beam,
     make_mode,
     overlap,
@@ -66,14 +67,31 @@ def db_to_r(db: float) -> float:
     return db * math.log(10.0) / 20.0
 
 
-def mode_overlap(beam: AngularDistribution, mode: AngularDistribution) -> OverlapResult:
-    """Overlap of the (normalized) beam with a mode pattern, no conjugation."""
-    xi = overlap(beam, mode)
-    # quadrature noise can push |xi| epsilon past 1; clamp within tolerance
+def _bounded(xi: complex) -> OverlapResult:
+    # rounding can push |xi| epsilon past 1; clamp within tolerance
     m = abs(xi)
     if 1.0 < m <= 1.0 + OVERLAP_BOUND_TOLERANCE:
         xi = xi / m
     return OverlapResult(xi=complex(xi))
+
+
+def mode_overlap(beam: AngularDistribution, mode: AngularDistribution) -> OverlapResult:
+    """Overlap of the (normalized) beam with a mode pattern, no conjugation,
+    integrated on the finer of their quadrature rules."""
+    return _bounded(overlap(beam, mode))
+
+
+def beam_overlap(kind: str, axis: str, beam: dict) -> OverlapResult:
+    """Exact overlap of the make_beam beam of parameters `beam` (na, axis,
+    polarization_angle, weight) with the pattern of mode `kind` along or
+    about `axis`."""
+    return _bounded(gaussian_overlap(kind, axis, **beam))
+
+
+def quadrature_error(xi: OverlapResult, beam: AngularDistribution, mode: AngularDistribution) -> float:
+    """|xi - mode_overlap(beam, mode)|: how far the quadrature rule of the
+    distributions is from the exact overlap xi."""
+    return abs(xi.xi - mode_overlap(beam, mode).xi)
 
 
 def relative_phase(xi: OverlapResult, sq: SqueezeParams, absolute_phase=True) -> float:
@@ -199,20 +217,25 @@ def recoil_sweep(
 ):
     """Recoil ratio versus squeezing degree for one or more beams.
 
-    beams maps column label -> beam parameter dict (na, axis,
-    polarization_angle). phi is the phase offset Phi = phi_s - 2 psi by
-    default (absolute_phase=False). Returns (header, rows, overlaps).
+    beams maps column label -> make_beam parameter dict (na, axis,
+    polarization_angle, weight). phi is the phase offset
+    Phi = phi_s - 2 psi by default (absolute_phase=False). Each beam's
+    overlap is exact (beam_overlap); its quadrature_error on `rule` is
+    reported beside it. Returns (header, rows, overlaps, errors), the last
+    two keyed by column.
     """
     mode = make_mode(kind, axis, rule=rule)
     columns = []
     overlaps = {}
+    errors = {}
     if include_perfect:
         columns.append(("ratio_perfect", OverlapResult(xi=1.0 + 0.0j)))
         overlaps["ratio_perfect"] = 1.0 + 0.0j
     for label, params in (beams or {}).items():
-        res = mode_overlap(make_beam(**params, rule=rule), mode)
+        res = beam_overlap(kind, axis, params)
         columns.append((f"ratio_{label}", res))
         overlaps[f"ratio_{label}"] = res.xi
+        errors[f"ratio_{label}"] = quadrature_error(res, make_beam(**params, rule=rule), mode)
 
     header = ["r_s"] + [name for name, _ in columns]
     rows = []
@@ -222,4 +245,4 @@ def recoil_sweep(
         for _, res in columns:
             row.append(recoil_ratio(res, sq, absolute_phase=absolute_phase))
         rows.append(row)
-    return header, rows, overlaps
+    return header, rows, overlaps, errors

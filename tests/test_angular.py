@@ -149,3 +149,46 @@ def test_make_beam_weight_mixes_counterpropagating_pair():
     assert pair.is_normalized and pair.support_axis is not None
     with pytest.raises(ConfigError):
         angular.make_beam(0.6, weight=1.5)
+
+
+MODES = [("motion", "x"), ("motion", "y"), ("motion", "z"), ("libration", "y"), ("libration", "z")]
+
+
+def test_gaussian_overlap_matches_fine_quadrature():
+    # random modes, apertures, axes, polarizations and weights; at 256x512
+    # the quadrature resolves these beams to rounding
+    rng = np.random.default_rng(20)
+    fine = angular.QuadratureRule(256, 512)
+    for case in range(12):
+        kind, axis = MODES[case % len(MODES)]
+        na, direction = rng.uniform(0.2, 0.95), rng.normal(size=3)
+        pol, weight = rng.uniform(0.0, 2.0 * np.pi), (0.0, 1.0, rng.uniform())[case % 3]
+        exact = angular.gaussian_overlap(kind, axis, na, direction, pol, weight)
+        beam = angular.make_beam(na, direction, pol, weight, rule=fine)
+        assert abs(exact - angular.overlap(beam, angular.make_mode(kind, axis, rule=fine))) < 1e-13
+
+
+def test_envelope_moments_closed_forms():
+    # F1, F3 and delta are elementary in E = exp(-1/NA^2); beta equals
+    # (F0 - F2) / 2 up to the rounding of that difference
+    for na in (0.02, 0.05, 0.158, 0.2, 0.5, 0.9, 1.0):
+        b, e = na * na, np.exp(-1.0 / (na * na))
+        f0, f1, f2, f3, beta, delta = angular.envelope_moments(na)
+        assert f1 == pytest.approx(np.pi * b * (1.0 - e), rel=1e-14)
+        assert f3 == pytest.approx(np.pi * b * (1.0 - b * (1.0 - e)), rel=1e-14)
+        assert delta == pytest.approx(0.5 * np.pi * b * b * (1.0 - e * (1.0 + 1.0 / b)), rel=1e-13)
+        assert beta == pytest.approx((f0 - f2) / 2.0, rel=1e-13 * f0 / beta)
+
+
+def test_gaussian_overlap_validates_like_make_beam():
+    for bad in (
+        dict(na=0.0),
+        dict(na=1.5),
+        dict(na=0.5, axis=[0.0, 0.0, 0.0]),
+        dict(na=0.5, weight=-0.1),
+    ):
+        with pytest.raises(ConfigError):
+            angular.gaussian_overlap("motion", "z", **bad)
+    for kind, axis in (("motion", "w"), ("libration", "x"), ("breathing", "z")):
+        with pytest.raises(ConfigError):
+            angular.gaussian_overlap(kind, axis, 0.5)

@@ -7,9 +7,9 @@ import jsonschema
 import numpy as np
 import pytest
 
-from levsqueeze import cli
+from levsqueeze import cli, io
 from levsqueeze.cli import OPTIONS, config_schema, main, parse_beam_spec, parse_db_range, parse_number, parse_quad
-from levsqueeze.angular import QuadratureRule, integrate_sphere, make_beam, make_mode, overlap
+from levsqueeze.angular import QuadratureRule, gaussian_overlap, integrate_sphere, make_beam, make_mode, overlap
 from levsqueeze.errors import ConfigError, NumericalFailure
 from levsqueeze.io import write_csv, write_json
 
@@ -221,16 +221,54 @@ def test_pure_state_exact_at_high_squeezing(tmp_path, args, artifact, key):
 
 
 def test_quad_reaches_overlaps(tmp_path):
-    # the written overlap is integrated on the --quad rule, not on the
-    # default 64x128 one (4.5e-10 away for this oblique beam)
+    # the written overlap is exact; --quad sets the rule of the integral
+    # that checks it, and the written quadrature_error is their distance
+    # (4.5e-10 at 16x32 for this oblique beam, 8e-17 at the default 64x128)
     assert run(tmp_path, "--quad", "16x32", "recoil", "--axis", "z", "--beam", "na=0.8,axis=-x") == 0
     written = json.loads((tmp_path / "recoil_params.json").read_text())["overlaps"]["ratio_na0.8_-x"]
+    exact = gaussian_overlap("motion", "z", 0.8, [-1.0, 0.0, 0.0])
+    assert complex(written["re"], written["im"]) == exact
     rule = QuadratureRule(16, 32)
     beam, mode = make_beam(0.8, [-1.0, 0.0, 0.0], rule=rule), make_mode("motion", "z", rule=rule)
     xi = integrate_sphere(lambda k: beam.amplitude(k) * mode.amplitude(k), rule, axis=beam.support_axis)
-    assert complex(written["re"], written["im"]) == xi
+    assert written["quadrature_error"] == abs(exact - xi)
     default = overlap(make_beam(0.8, [-1.0, 0.0, 0.0]), make_mode("motion", "z"))
-    assert abs(xi - default) > 1e-11
+    assert abs(exact - default) < 1e-14 and written["quadrature_error"] > 1e-10
+
+
+def test_narrow_beam_overlap_exact_and_flagged(tmp_path, capsys):
+    # the default 64x128 rule does not resolve an NA = 0.05 beam: the
+    # written ratio is the exact one (what --quad 1024x16 also gives), and
+    # each command flags the integral's error
+    assert run(tmp_path, "recoil", "--beam", "na=0.05,axis=-z", "--db", "15", "--phase", "0") == 0
+    assert (tmp_path / "recoil.csv").read_text() == "r_db,ratio_na0.05_-z\n15,0.994818741387\n"
+    overlaps = json.loads((tmp_path / "recoil_params.json").read_text())["overlaps"]
+    assert overlaps["ratio_na0.05_-z"]["quadrature_error"] > 1e-8
+    assert "warning: ratio_na0.05_-z" in capsys.readouterr().err
+    assert run(tmp_path, "irp", "--beam", "na=0.05,axis=-z", "--grid", "4x4") == 0
+    assert json.loads((tmp_path / "irp_meta.json").read_text())["quadrature_error"] > 1e-8
+    assert "warning: na0.05_-z" in capsys.readouterr().err
+    assert run(
+        tmp_path, "optimize", "--free", "axis_theta=0:pi", "--fixed", "na=0.05", "--fixed", "phi=0",
+        "--budget", "20",
+    ) == 0
+    assert json.loads((tmp_path / "optimize_result.json").read_text())["quadrature_error"] > 1e-8
+    assert "warning: best point" in capsys.readouterr().err
+    # a resolved beam passes without a warning
+    assert run(tmp_path, "--quad", "1024x16", "recoil", "--beam", "na=0.05,axis=-z", "--db", "15", "--phase", "0") == 0
+    assert json.loads((tmp_path / "recoil_params.json").read_text())["overlaps"]["ratio_na0.05_-z"]["quadrature_error"] < 1e-12
+    assert capsys.readouterr().err == ""
+
+
+def test_csv_streams_blocks_byte_identical(tmp_path):
+    # several blocks and a partial one, against the per-row formatting
+    rows = np.random.default_rng(3).normal(size=(2 * io.CSV_BLOCK_ROWS + 7, 3)) * 10.0 ** np.arange(-6, 9, 5)
+    rows[::5, 0] = np.arange(len(rows))[::5]
+    write_csv(tmp_path / "t.csv", ["a", "b", "c"], rows)
+    expected = "a,b,c\n" + "".join("%.12g,%.12g,%.12g\n" % tuple(row) for row in rows.tolist())
+    assert (tmp_path / "t.csv").read_text() == expected
+    write_csv(tmp_path / "empty.csv", ["a"], np.empty((0, 1)))
+    assert (tmp_path / "empty.csv").read_text() == "a\n"
 
 
 def test_cli_rerun_byte_identical(tmp_path):

@@ -3,7 +3,8 @@
 For an overlap modulus m in [0, 1], a squeezing degree r in [0, 10] and any
 phase offset Phi, the input spectra must respect the recoil-ratio bounds,
 the uncertainty bound det S >= 1 (with equality for the pure state m = 1)
-and 2 pi periodicity; the bare squeezed mode has determinant 1.
+and 2 pi periodicity; the bare squeezed mode has determinant 1. The exact
+overlap of any Gaussian beam with any mode pattern is at most 1 in modulus.
 
 A 2x2 determinant of rounded spectra is resolved only to a relative
 precision of the products it subtracts, so determinant checks scale their
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from levsqueeze import detect, squeeze
+from levsqueeze import angular, detect, squeeze
 
 DETERMINISTIC = settings(derandomize=True, deadline=None)
 
@@ -74,3 +75,19 @@ def test_bare_covariance_is_pure(r, phi):
     tolerance = REL * max(1.0, cov[0, 0] * cov[1, 1])
     assert cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0] == pytest.approx(1.0, abs=tolerance)
     assert np.all(np.diag(cov) > 0.0)
+
+
+MODES = [("motion", "x"), ("motion", "y"), ("motion", "z"), ("libration", "y"), ("libration", "z")]
+
+
+@DETERMINISTIC
+@given(
+    mode=st.sampled_from(MODES),
+    na=st.floats(min_value=0.2, max_value=1.0),
+    axis=st.tuples(*[st.floats(min_value=-1.0, max_value=1.0)] * 3).filter(lambda v: sum(c * c for c in v) > 1e-6),
+    pol=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    weight=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_gaussian_overlap_bounded(mode, na, axis, pol, weight):
+    # a normalized beam and a normalized pattern overlap by at most 1
+    assert abs(angular.gaussian_overlap(*mode, na, axis, pol, weight)) <= 1.0 + 1e-12

@@ -1,7 +1,8 @@
 """Every command of the benchmark workloads, at reduced size, run in-process
 and checked against the paper's closed forms by that command's own check
-in perfbench/workloads.py; and one command through the benchmark's traced
-path, perfbench/traced.py."""
+in perfbench/workloads.py; the two beam searches also at full size, where
+the check includes the reference optimum; and one command through the
+benchmark's traced path, perfbench/traced.py."""
 
 import json
 import os
@@ -24,9 +25,13 @@ COMMANDS = [
     for name in workloads.WORKLOADS
     for command in workloads.commands(name, SEED, reduced=True)
 ]
+# Exact overlaps make a full-size search (budget 400) cost well under a second.
+FULL_SEARCHES = [
+    pytest.param(command, id=f"search-full-{command.name}") for command in workloads.commands("search", SEED)
+]
 
 
-@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("command", COMMANDS + FULL_SEARCHES)
 def test_workload_command_passes_its_check(tmp_path, command):
     out = tmp_path / "out"
     args = ["--out", str(out)]
