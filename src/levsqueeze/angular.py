@@ -288,16 +288,14 @@ def beam_frame(axis):
     return rot[:, 0], rot[:, 1]
 
 
-def _beam_geometry(na, propagation_axis, polarization_angle):
-    """Unit propagation axis n and linear polarization p of a Gaussian beam."""
+def _beam_axis(na, propagation_axis):
+    """Unit propagation axis of a Gaussian beam; checks na and the axis."""
     if not (0.0 < na <= 1.0):
         raise ConfigError(f"numerical aperture must lie in (0, 1], got {na}")
     n = np.asarray(propagation_axis, float)
     if np.linalg.norm(n) == 0.0:
         raise ConfigError("propagation axis must be a nonzero vector")
-    n = n / np.linalg.norm(n)
-    u, v = beam_frame(n)
-    return n, np.cos(polarization_angle) * u + np.sin(polarization_angle) * v
+    return n / np.linalg.norm(n)
 
 
 def make_gaussian_beam(na, propagation_axis, polarization_angle=0.0, rule=DEFAULT_RULE):
@@ -309,7 +307,9 @@ def make_gaussian_beam(na, propagation_axis, polarization_angle=0.0, rule=DEFAUL
     The distribution is normalized by quadrature on `rule`;
     gaussian_overlap gives its overlaps with the mode patterns exactly.
     """
-    n, pol_vec = _beam_geometry(na, propagation_axis, polarization_angle)
+    n = _beam_axis(na, propagation_axis)
+    u, v = beam_frame(n)
+    pol_vec = np.cos(polarization_angle) * u + np.sin(polarization_angle) * v
 
     def func(k):
         cos_v = n @ k
@@ -357,6 +357,7 @@ def _moment_panel_rule():
     return 0.5 * (x + 1.0), 0.5 * w
 
 
+@functools.lru_cache(maxsize=16)
 def envelope_moments(na):
     """Radial moments of the envelope env(c) = exp(-(1 - c^2) / NA^2) over
     c = cos v in [0, 1]: F_l = 2 pi int_0^1 env(c) c^l dc for l = 0..3,
@@ -390,20 +391,19 @@ def _pattern_moment(kind, mu, n, p, moments):
     return value
 
 
-def gaussian_overlap(kind, mode_axis, na, axis=(0.0, 0.0, -1.0), polarization_angle=0.0, weight=0.0):
-    """Exact overlap, no conjugation, of make_beam(na, axis,
-    polarization_angle, weight) with make_mode(kind, mode_axis).
+def overlap_form(kind, mode_axis, na, axis=(0.0, 0.0, -1.0)):
+    """(c, R) with gaussian_overlap(kind, mode_axis, na, axis, alpha, w)
+    = c (sqrt(1 - w), sqrt(w)) R (cos alpha, sin alpha)^T.
 
-    Every mode pattern is C times a polynomial of degree 3 or less in k, so
-    the sphere integral of its product with the beam field
-    -N env(n . k) [p - (p . k) k] reduces to the radial moments of the
-    envelope (envelope_moments): motion along mu gives
-    -N C [p_x n_mu F1 - delta (n_x p_mu + n_mu p_x) - p_x (F0 - beta) [mu = z]],
-    libration about mu gives -N C p_mu (F0 + F2) / 2, and
-    N^-2 = (G0 + G2) / 2 from the moments G of env^2, which is the envelope
-    at NA / sqrt(2). The counter-propagating partner of `weight` lives on
-    the opposite hemisphere, so the pair stays normalized and its overlap
-    is sqrt(1 - w) xi(n) + sqrt(w) xi(-n).
+    c is minus the pattern prefactor C, so arg xi is set by the mode. Row 0
+    of the real 2x2 R is the beam along n, row 1 its partner along -n;
+    columns are polarization e along u and v of that beam's beam_frame.
+    Each entry is _pattern_moment, the sphere integral of the beam field
+    times the pattern over C (motion along mu:
+    e_x n_mu F1 - delta (n_x e_mu + n_mu e_x) - e_x (F0 - beta) [mu = z];
+    libration about mu: e_mu (F0 + F2) / 2), over the beam's
+    N^-1 = sqrt((G0 + G2) / 2) from the moments G of env^2, the envelope
+    at NA / sqrt(2).
     """
     if kind == "motion":
         prefactor = _motion_prefactor(mode_axis)
@@ -412,17 +412,34 @@ def gaussian_overlap(kind, mode_axis, na, axis=(0.0, 0.0, -1.0), polarization_an
     else:
         raise ConfigError(f"mode kind must be motion or libration, got {kind!r}")
     mu = "xyz".index(mode_axis)
-    _check_weight(weight)
-    axis = np.asarray(axis, dtype=float)
-    beams = [
-        (amplitude, *_beam_geometry(na, direction, polarization_angle))
-        for direction, amplitude in ((axis, np.sqrt(1.0 - weight)), (-axis, np.sqrt(weight)))
-        if amplitude > 0.0
-    ]
+    n = _beam_axis(na, axis)
     moments = envelope_moments(na)
     g0, _, g2, *_ = envelope_moments(na / np.sqrt(2.0))
-    total = sum(amplitude * _pattern_moment(kind, mu, n, p, moments) for amplitude, n, p in beams)
-    return complex(-prefactor * total / np.sqrt((g0 + g2) / 2.0))
+    rows = [[_pattern_moment(kind, mu, d, e, moments) for e in beam_frame(d)] for d in (n, -n)]
+    return complex(-prefactor), np.array(rows) / np.sqrt((g0 + g2) / 2.0)
+
+
+def form_overlap(c, R, polarization_angle, weight):
+    """The overlap c (sqrt(1 - w), sqrt(w)) R (cos alpha, sin alpha)^T of
+    an overlap_form (c, R)."""
+    a = np.array([np.sqrt(1.0 - weight), np.sqrt(weight)])
+    b = np.array([np.cos(polarization_angle), np.sin(polarization_angle)])
+    return complex(c * float(a @ R @ b))
+
+
+def gaussian_overlap(kind, mode_axis, na, axis=(0.0, 0.0, -1.0), polarization_angle=0.0, weight=0.0):
+    """Exact overlap, no conjugation, of make_beam(na, axis,
+    polarization_angle, weight) with make_mode(kind, mode_axis).
+
+    Every mode pattern is C times a polynomial of degree 3 or less in k, so
+    its sphere integral against the beam field -N env(n . k) [p - (p . k) k]
+    reduces to radial moments of the envelope and is linear in
+    p = cos(alpha) u + sin(alpha) v. The partner of `weight` lives on the
+    opposite hemisphere, so the pair stays normalized and the overlap is
+    sqrt(1 - w) xi(n) + sqrt(w) xi(-n): the form of overlap_form.
+    """
+    _check_weight(weight)
+    return form_overlap(*overlap_form(kind, mode_axis, na, axis), polarization_angle, weight)
 
 
 def rotated(dist: AngularDistribution, rotation, rule=None):

@@ -143,7 +143,7 @@ OFFSET = Opt("phase", "0", "Phase offset phi_s - 2 arg(xi); pi-literals allowed.
 
 COMMON = (
     Opt("quad", "64x128", "Quadrature NTHETAxNPHI."),
-    Opt("seed", 0, "Random seed for stochastic stages."),
+    Opt("seed", 0, "Accepted and echoed in the config; no stage is random."),
 )
 OPTIONS = {
     "recoil": (
@@ -178,9 +178,9 @@ OPTIONS = {
         KIND,
         AXIS,
         DB,
-        Opt("free", (), "Free parameter name=lo:hi (repeatable)."),
-        Opt("fixed", (), "Fixed parameter name=value (repeatable)."),
-        Opt("budget", 200, "Max objective evaluations."),
+        Opt("free", (), "Free parameter name=lo:hi (repeatable); phi is not searched."),
+        Opt("fixed", (), "Fixed parameter name=value (repeatable), phi among them."),
+        Opt("budget", 200, "Max objective evaluations: grid points over na, axis_theta and axis_phi."),
     ),
     "wigner": (
         Opt("source", "bare", "bare (squeezed mode) or input (interacting mode)."),
@@ -294,7 +294,6 @@ class Run:
         self.out = out
         self.common = common
         self.rule = parse_quad(common["quad"])
-        self.seed = common["seed"]
 
     def path(self, name):
         return os.path.join(self.out, name)
@@ -421,9 +420,15 @@ def irp(run, opt):
     write_json(run.path("irp_meta.json"), meta)
 
 
+def _check_modulus(xi):
+    if not 0.0 <= xi <= 1.0:
+        raise ConfigError(f"overlap modulus --xi must lie in [0, 1], got {xi}")
+
+
 @command("sensitivity")
 def sensitivity(run, opt):
     """Minimum detectable signal relative to the standard quantum limit."""
+    _check_modulus(opt.xi)
     r_s = squeeze.db_to_r(parse_number(opt.db, "db"))
     chi = detect.Susceptibility(omega=opt.omega_ratio, mode_frequency=1.0, damping=opt.gamma_ratio)
     if opt.heatmap:
@@ -453,40 +458,41 @@ def sensitivity(run, opt):
     write_json(run.path("sensitivity_meta.json"), meta)
 
 
-def _split_spec(spec, what):
-    if "=" not in spec:
-        raise ConfigError(f"{what} spec {spec!r} is not name=value")
-    name, value = spec.split("=", 1)
-    return name.strip(), value
+def _named_values(specs, what, parse):
+    """{name: parse(value, name)} of `name=value` specs; a repeated name is
+    a ConfigError."""
+    values = {}
+    for spec in specs:
+        name, sep, value = (p.strip() for p in spec.partition("="))
+        if not sep:
+            raise ConfigError(f"{what} spec {spec!r} is not name=value")
+        if name in values:
+            raise ConfigError(f"{what} parameter {name!r} is given twice")
+        values[name] = parse(value, name)
+    return values
+
+
+def _bounds(text, name):
+    parts = text.split(":")
+    if len(parts) != 2:
+        raise ConfigError(f"free bounds {text!r} must be lo:hi")
+    return tuple(parse_number(p, f"{name} bound") for p in parts)
 
 
 @command("optimize")
 def optimize_cmd(run, opt):
-    """Search beam parameters minimizing recoil or optimized sensitivity."""
-    free = {}
-    for spec in opt.free:
-        name, bounds = _split_spec(spec, "free")
-        parts = bounds.split(":")
-        if len(parts) != 2:
-            raise ConfigError(f"free bounds {bounds!r} must be lo:hi")
-        free[name] = tuple(parse_number(p, f"{name} bound") for p in parts)
-    fixed = {}
-    for spec in opt.fixed:
-        name, value = _split_spec(spec, "fixed")
-        fixed[name] = parse_number(value, name)
-    if not free:
-        raise ConfigError("at least one --free parameter is required")
-
+    """Search beam parameters minimizing recoil or optimized sensitivity at a
+    fixed phase; polarization and weight are solved exactly."""
     problem = OptimizationProblem(
         objective=opt.objective,
         mode_kind=opt.kind,
         mode_axis=opt.axis,
         r_s=squeeze.db_to_r(parse_number(opt.db, "db")),
-        free=free,
-        fixed=fixed,
+        free=_named_values(opt.free, "free", _bounds),
+        fixed=_named_values(opt.fixed, "fixed", parse_number),
         rule=run.rule,
     )
-    result = run_optimize(problem, budget=opt.budget, seed=run.seed)
+    result = run_optimize(problem, budget=opt.budget)
     _flag_unresolved(result.quadrature_error, "best point")
     summary = {
         name: getattr(result, name)
@@ -503,6 +509,7 @@ def optimize_cmd(run, opt):
 @command("wigner")
 def wigner(run, opt):
     """Gaussian Wigner function of the squeezed input light."""
+    _check_modulus(opt.xi)
     r_s = squeeze.db_to_r(parse_number(opt.db, "db"))
     phi = parse_number(opt.phase, "phase")
     if opt.source == "bare":

@@ -101,11 +101,37 @@ def test_exit_code_config_error(tmp_path):
         ["optimize", "--free", "na=0.1:0.9", "--fixed", "phi=inf"],
         ["optimize", "--free", "na=0.1:0.9", "--fixed", "weight=2", "--budget", "20"],
         ["--seed", "-1", "optimize", "--free", "na=0.1:0.9"],
+        ["sensitivity", "--xi", "-0.5"],
+        ["wigner", "--source", "input", "--xi", "-0.5"],
     ],
 )
 def test_bad_numbers_exit_2(tmp_path, args):
     assert run(tmp_path, *args) == 2
     assert not any(name.endswith(".csv") for name in os.listdir(tmp_path))
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["--free", "na=0.3:0.9", "--fixed", "na=0.5"], "'na' is both free and fixed"),
+        (["--free", "na=0.3:0.9", "--fixed", "phi=0", "--fixed", "phi=1"], "'phi' is given twice"),
+        (["--free", "na=0.3:0.6", "--free", "na=0.5:0.9"], "'na' is given twice"),
+        (["--free", "na=0.5:1.5"], "upper bound 1.5 of 'na'"),
+        (["--free", "phi=0:pi"], "--fixed phi="),
+    ],
+)
+def test_optimize_rejects_repeated_names_and_bounds(tmp_path, capsys, args, named):
+    assert run(tmp_path, "optimize", *args) == 2
+    assert named in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_optimize_ignores_the_seed(tmp_path):
+    args = ["optimize", "--free", "na=0.3:0.9", "--free", "polarization_angle=0:pi", "--db", "9", "--budget", "30"]
+    for seed in ("1", "2"):
+        assert main(["--out", str(tmp_path / seed), "--seed", seed, *args]) == 0
+    for name in ("optimize_result.json", "optimize_trace.csv"):
+        assert filecmp.cmp(tmp_path / "1" / name, tmp_path / "2" / name, shallow=False), name
 
 
 def test_db_range_never_passes_stop():

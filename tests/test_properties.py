@@ -4,7 +4,9 @@ For an overlap modulus m in [0, 1], a squeezing degree r in [0, 10] and any
 phase offset Phi, the input spectra must respect the recoil-ratio bounds,
 the uncertainty bound det S >= 1 (with equality for the pure state m = 1)
 and 2 pi periodicity; the bare squeezed mode has determinant 1. The exact
-overlap of any Gaussian beam with any mode pattern is at most 1 in modulus.
+overlap of any Gaussian beam with any mode pattern is at most 1 in modulus,
+and over any box of polarization angle and weight its squared modulus lies
+between the closed-form extremes the beam search uses.
 
 A 2x2 determinant of rounded spectra is resolved only to a relative
 precision of the products it subtracts, so determinant checks scale their
@@ -17,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from levsqueeze import angular, detect, squeeze
+from levsqueeze import angular, detect, optimize, squeeze
 
 DETERMINISTIC = settings(derandomize=True, deadline=None)
 
@@ -91,3 +93,37 @@ MODES = [("motion", "x"), ("motion", "y"), ("motion", "z"), ("libration", "y"), 
 def test_gaussian_overlap_bounded(mode, na, axis, pol, weight):
     # a normalized beam and a normalized pattern overlap by at most 1
     assert abs(angular.gaussian_overlap(*mode, na, axis, pol, weight)) <= 1.0 + 1e-12
+
+
+@DETERMINISTIC
+@given(
+    mode=st.sampled_from(MODES),
+    na=st.floats(min_value=0.2, max_value=1.0),
+    axis=st.tuples(*[st.floats(min_value=-1.0, max_value=1.0)] * 3).filter(lambda v: sum(c * c for c in v) > 1e-6),
+    alpha_lo=st.floats(min_value=-math.pi, max_value=math.pi),
+    alpha_width=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=4.0)),
+    weights=st.tuples(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0)).map(sorted),
+    inside=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=8),
+)
+def test_inner_extremes_bound_the_overlap(mode, na, axis, alpha_lo, alpha_width, weights, inside):
+    # the closed-form smallest and largest |xi|^2 over a box of polarization
+    # angle and weight lie in the box and bound |xi|^2 everywhere in it
+    alpha = (alpha_lo, alpha_lo + alpha_width)
+    c, R = angular.overlap_form(*mode, na, axis)
+    extremes = optimize._inner_extremes(R, alpha, tuple(weights))
+    for a, w in extremes:
+        assert alpha[0] <= a <= alpha[1] and weights[0] <= w <= weights[1]
+    lowest, highest = (abs(angular.gaussian_overlap(*mode, na, axis, a, w)) ** 2 for a, w in extremes)
+
+    def box_point(s, t):
+        return alpha[0] + s * alpha_width, weights[0] + t * (weights[1] - weights[0])
+
+    for s, t in inside:
+        m2 = abs(angular.gaussian_overlap(*mode, na, axis, *box_point(s, t))) ** 2
+        assert lowest - 1e-12 <= m2 <= highest + 1e-12
+    # and on a 25x25 grid of the box, from the bilinear form itself
+    a, w = box_point(*np.meshgrid(np.linspace(0.0, 1.0, 25), np.linspace(0.0, 1.0, 25)))
+    amplitudes = np.stack([np.sqrt(1.0 - w), np.sqrt(w)])
+    polarizations = np.stack([np.cos(a), np.sin(a)])
+    m2 = abs(c) ** 2 * np.einsum("i...,ij,j...->...", amplitudes, R, polarizations) ** 2
+    assert np.all((lowest - 1e-12 <= m2) & (m2 <= highest + 1e-12))

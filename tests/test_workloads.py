@@ -1,8 +1,9 @@
 """Every command of the benchmark workloads, at reduced size, run in-process
 and checked against the paper's closed forms by that command's own check
 in perfbench/workloads.py; the two beam searches also at full size, where
-the check includes the reference optimum; and one command through the
-benchmark's traced path, perfbench/traced.py."""
+the check includes the reference optimum; one command through the
+benchmark's traced path, perfbench/traced.py; and that path's wrapping of
+every traced function."""
 
 import json
 import os
@@ -64,3 +65,12 @@ def test_traced_overlaps_use_the_quad_rule(tmp_path):
         and spans[span["parent"]]["name"] == "squeeze.mode_overlap"
     ]
     assert under_overlap and all(span["nodes"] == 16 * 32 for span in under_overlap)
+
+
+def test_every_traced_name_resolves():
+    # traced.install looks up each TRACED name with getattr, so a renamed or
+    # deleted function fails here rather than only in perfbench/selfcheck.py
+    code = "import levsqueeze.cli\nfrom perfbench import traced\ntraced.install(traced.Recorder())"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
