@@ -40,6 +40,10 @@ MOTION_GEOMETRY_FACTORS = {"x": 1.0 / 5.0, "y": 2.0 / 5.0, "z": 7.0 / 5.0}
 
 NORM_TOLERANCE = 1e-6
 
+# Largest number of directions an integrand or an IRP table is evaluated on
+# at once: the default 64x128 rule is one block.
+BLOCK = 8192
+
 
 def spherical_basis(theta, phi):
     """Unit vectors (e_k, e_theta, e_phi) at the given angles, shape (3, ...)."""
@@ -130,19 +134,27 @@ DEFAULT_RULE = QuadratureRule()
 def integrate_sphere(f, rule=DEFAULT_RULE, axis=None):
     """Quadrature approximation of integral over dOmega of sum_i f_i.
 
-    `f(k)` takes the (3, n) node vectors and returns an array of shape
-    (m, n) whose m components are summed, e.g. the squared Cartesian
-    components of a field.  Deterministic for a fixed rule (pairwise
-    summation).
+    `f(k)` takes (3, n) node vectors and returns an array of shape (m, n)
+    whose m components are summed, e.g. the squared Cartesian components
+    of a field. It is called on consecutive blocks of at most BLOCK nodes,
+    so its temporaries stay bounded at any rule size; the default rule is
+    one block. The summed values of all blocks are then weighted and
+    summed at once, so the result does not depend on the blocking and is
+    deterministic for a fixed rule (pairwise summation).
     """
     k, w = rule.nodes(axis=axis)
-    values = np.asarray(f(k)).sum(axis=0)
-    if values.shape != w.shape:
-        raise ConfigError("integrand returned a shape not matching the rule nodes")
-    bad = ~np.isfinite(values)
-    if bad.any():
-        idx = int(np.flatnonzero(bad)[0])
-        raise NumericalFailure("non-finite integrand at node k = (%.6f, %.6f, %.6f)" % tuple(k[:, idx]))
+    values = None
+    for start in range(0, w.size, BLOCK):
+        block = np.asarray(f(k[:, start : start + BLOCK])).sum(axis=0)
+        if block.shape != w[start : start + BLOCK].shape:
+            raise ConfigError("integrand returned a shape not matching the rule nodes")
+        bad = ~np.isfinite(block)
+        if bad.any():
+            idx = start + int(np.flatnonzero(bad)[0])
+            raise NumericalFailure("non-finite integrand at node k = (%.6f, %.6f, %.6f)" % tuple(k[:, idx]))
+        if values is None:
+            values = np.empty(w.shape, dtype=block.dtype)
+        values[start : start + BLOCK] = block
     return np.sum(values * w)
 
 

@@ -409,13 +409,7 @@ def irp(run, opt):
     n_theta, n_phi = parse_grid(opt.grid, "irp grid")
     result = scatter.irp_grid(cfg, n_theta=n_theta, n_phi=n_phi)
 
-    theta, phi = np.meshgrid(result.theta, result.phi, indexing="ij")
-    columns = (theta, phi, result.dsigma, result.irp, result.f_plus_sq, result.f_minus_sq)
-    write_csv(
-        run.path("irp.csv"),
-        ["theta", "phi", "dsigma", "irp", "f_plus_sq", "f_minus_sq"],
-        np.column_stack([c.ravel() for c in columns]),
-    )
+    write_csv(run.path("irp.csv"), scatter.IRP_COLUMNS, result.table)
     meta = {"normalization": result.normalization, "quadrature_error": error, **result.metadata}
     write_json(run.path("irp_meta.json"), meta)
 

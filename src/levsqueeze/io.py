@@ -3,7 +3,9 @@
 All files are written atomically (temp file + rename) with LF line endings
 and locale-independent number formatting, so repeated runs with identical
 inputs are byte-identical. A NaN or infinity never reaches a file: both
-writers raise NumericalFailure instead, before writing anything.
+writers raise NumericalFailure instead, before writing anything. CSV
+bodies are formatted straight from the numpy table, a block of rows at a
+time, so a large table is never held as Python rows or as one string.
 """
 
 from __future__ import annotations
@@ -41,7 +43,9 @@ def write_csv(path, header, rows):
     """Write a table of numbers under `header`: `rows` is a 2-D array (or a
     list of equal rows) with one column per header name. Every cell is
     NUMBER_FORMAT, which prints integers below 1e12 as they are. The body is
-    formatted and written CSV_BLOCK_ROWS rows at a time."""
+    formatted and written CSV_BLOCK_ROWS rows at a time, each block by one
+    % of the row format repeated once per row, so memory beyond the table
+    stays bounded at any table size."""
     table = np.asarray(rows, dtype=float).reshape(-1, len(header))
     if not np.isfinite(table).all():
         raise NumericalFailure(f"non-finite value in {os.path.basename(path)}")
@@ -50,7 +54,8 @@ def write_csv(path, header, rows):
     def blocks():
         yield ",".join(header) + "\n"
         for start in range(0, len(table), CSV_BLOCK_ROWS):
-            yield "".join(line % row for row in map(tuple, table[start : start + CSV_BLOCK_ROWS].tolist()))
+            block = table[start : start + CSV_BLOCK_ROWS]
+            yield (line * len(block)) % tuple(block.ravel().tolist())
 
     _atomic_write(path, blocks())
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import AngularDistribution, DEFAULT_RULE, QuadratureRule, integrate_sphere, spherical_basis
+from .angular import BLOCK, AngularDistribution, DEFAULT_RULE, QuadratureRule, integrate_sphere, spherical_basis
 from .errors import ConfigError, NumericalFailure
 from .squeeze import OverlapResult, SqueezeParams, mode_overlap, pure_spectra, recoil_ratio, relative_phase
 
@@ -95,9 +95,17 @@ def integrated_cross_section(cfg: ScatterConfig):
     return float(integrate_sphere(integrand, cfg.rule, axis=axis).real)
 
 
+# Columns of IRPGrid.table, in the order irp.csv writes them.
+IRP_COLUMNS = ("theta", "phi", "dsigma", "irp", "f_plus_sq", "f_minus_sq")
+
+
 @dataclass
 class IRPGrid:
-    """Equiangular grid of cross-section and IRP values."""
+    """Equiangular grid of cross-section and IRP values.
+
+    The per-point fields are (n_theta, n_phi) views of `table`, which holds
+    one row per grid point (theta-major) and one column per IRP_COLUMNS name.
+    """
 
     theta: np.ndarray  # (n_theta,)
     phi: np.ndarray  # (n_phi,)
@@ -107,32 +115,43 @@ class IRPGrid:
     f_minus_sq: np.ndarray
     normalization: float  # integral of dsigma over the sphere
     metadata: dict
+    table: np.ndarray  # (n_theta * n_phi, len(IRP_COLUMNS))
 
 
 def irp_grid(cfg: ScatterConfig, n_theta=181, n_phi=360) -> IRPGrid:
     """Tabulate d sigma / d Omega and the normalized IRP.
 
-    The normalization integral is evaluated with the configured quadrature
-    rule (not the export grid), so the IRP normalization is accurate at any
-    export resolution.
+    The normalization integral is evaluated first, with the configured
+    quadrature rule (not the export grid), so the IRP normalization is
+    accurate at any export resolution. The grid is then filled in blocks of
+    whole theta rows, at most BLOCK points (but at least one row) each, so
+    the amplitude temporaries stay bounded at any grid size; every value is
+    computed pointwise and does not depend on the blocking.
     """
     if n_theta < 2 or n_phi < 2:
         raise ConfigError("IRP grid must be at least 2x2")
-    theta = np.linspace(0.0, np.pi, n_theta)
-    phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-    tt, pp = np.meshgrid(theta, phi, indexing="ij")
-    k = spherical_basis(tt.ravel(), pp.ravel())[0]
-    f_plus, f_minus = scattering_amplitudes(cfg, k)
-    fp2 = np.sum(np.abs(f_plus) ** 2, axis=0).reshape(n_theta, n_phi)
-    fm2 = np.sum(np.abs(f_minus) ** 2, axis=0).reshape(n_theta, n_phi)
-    dsigma = fp2 - fm2
-
     total = integrated_cross_section(cfg)
     if total <= 0:
         raise NumericalFailure(
             f"total scattered power is non-positive ({total:.6g}); "
             "unphysical parameter combination"
         )
+    theta = np.linspace(0.0, np.pi, n_theta)
+    phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
+    grid = np.empty((n_theta, n_phi, len(IRP_COLUMNS)))
+    grid[..., 0] = theta[:, None]
+    grid[..., 1] = phi
+    tt, pp, dsigma, irp, fp2, fm2 = np.moveaxis(grid, -1, 0)
+    rows = max(1, BLOCK // n_phi)
+    for start in range(0, n_theta, rows):
+        block = slice(start, start + rows)
+        k = spherical_basis(tt[block].ravel(), pp[block].ravel())[0]
+        f_plus, f_minus = scattering_amplitudes(cfg, k)
+        fp2[block] = np.sum(np.abs(f_plus) ** 2, axis=0).reshape(-1, n_phi)
+        fm2[block] = np.sum(np.abs(f_minus) ** 2, axis=0).reshape(-1, n_phi)
+        np.subtract(fp2[block], fm2[block], out=dsigma[block])
+        np.divide(dsigma[block], total, out=irp[block])
+
     metadata = {
         "xi_modulus": cfg.xi.modulus,
         "xi_phase": cfg.xi.phase,
@@ -149,9 +168,10 @@ def irp_grid(cfg: ScatterConfig, n_theta=181, n_phi=360) -> IRPGrid:
         theta=theta,
         phi=phi,
         dsigma=dsigma,
-        irp=dsigma / total,
+        irp=irp,
         f_plus_sq=fp2,
         f_minus_sq=fm2,
         normalization=total,
         metadata=metadata,
+        table=grid.reshape(-1, len(IRP_COLUMNS)),
     )

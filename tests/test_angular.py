@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,40 @@ def test_integrate_rejects_nonfinite():
 
     with pytest.raises(NumericalFailure):
         angular.integrate_sphere(bad)
+
+
+# 128x256 is exactly four blocks, 130x250 three and a partial one.
+@pytest.mark.parametrize("rule", [angular.QuadratureRule(128, 256), angular.QuadratureRule(130, 250)])
+def test_integrate_sphere_blocks_match_one_shot(rule):
+    beam = angular.make_beam(0.6, axis=(1.0, 1.0, -1.0), weight=0.3, rule=rule)
+    mode = angular.make_mode("motion", "y", rule)
+    sizes = []
+
+    def field_product(k):
+        sizes.append(k.shape[1])
+        return beam.amplitude(k) * mode.amplitude(k)
+
+    k, w = rule.nodes(axis=beam.support_axis)
+    for f in (beam._abs2, field_product):
+        one_shot = np.sum(np.asarray(f(k)).sum(0) * w)
+        sizes.clear()
+        assert angular.integrate_sphere(f, rule, axis=beam.support_axis) == one_shot
+    assert sum(sizes) == k.shape[1]
+    assert max(sizes) <= angular.BLOCK < k.shape[1]
+
+
+def test_integrate_rejects_nonfinite_in_a_later_block():
+    rule = angular.QuadratureRule(130, 250)
+    axis = (0.0, 1.0, 1.0)
+    k, _ = rule.nodes(axis=axis)
+    node = k[:, 3 * angular.BLOCK + 5]
+
+    def bad(k):
+        return np.where(np.all(k == node[:, None], axis=0), np.nan, 1.0)[None]
+
+    message = "non-finite integrand at node k = (%.6f, %.6f, %.6f)" % tuple(node)
+    with pytest.raises(NumericalFailure, match=re.escape(message)):
+        angular.integrate_sphere(bad, rule, axis=axis)
 
 
 def test_spherical_basis_orthonormal():

@@ -2,10 +2,14 @@ import filecmp
 import json
 import math
 import os
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from levsqueeze import cli, io
 from levsqueeze.cli import OPTIONS, config_schema, main, parse_beam_spec, parse_db_range, parse_number, parse_quad
@@ -286,28 +290,91 @@ def test_narrow_beam_overlap_exact_and_flagged(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def per_row_csv(header, rows):
+    """The CSV text of `rows` formatted row by row, the reference for write_csv."""
+    line = ",".join(["%.12g"] * len(header)) + "\n"
+    return ",".join(header) + "\n" + "".join(line % tuple(row) for row in rows.tolist())
+
+
 def test_csv_streams_blocks_byte_identical(tmp_path):
     # several blocks and a partial one, against the per-row formatting
     rows = np.random.default_rng(3).normal(size=(2 * io.CSV_BLOCK_ROWS + 7, 3)) * 10.0 ** np.arange(-6, 9, 5)
     rows[::5, 0] = np.arange(len(rows))[::5]
+    # signed zeros, the smallest subnormal, extremes and integers at and past 1e12
+    rows[1:4] = [[-0.0, 0.0, 5e-324], [1e300, -1e-300, 1e12], [123456789012345.0, 2.0**53, -1e15]]
     write_csv(tmp_path / "t.csv", ["a", "b", "c"], rows)
-    expected = "a,b,c\n" + "".join("%.12g,%.12g,%.12g\n" % tuple(row) for row in rows.tolist())
-    assert (tmp_path / "t.csv").read_text() == expected
+    assert (tmp_path / "t.csv").read_text() == per_row_csv(["a", "b", "c"], rows)
     write_csv(tmp_path / "empty.csv", ["a"], np.empty((0, 1)))
     assert (tmp_path / "empty.csv").read_text() == "a\n"
 
 
+@settings(derandomize=True, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    rows=st.integers(1, 6).flatmap(
+        lambda n_columns: hnp.arrays(
+            float,
+            st.tuples(st.integers(0, 12), st.just(n_columns)),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        )
+    )
+)
+def test_csv_matches_per_row_formatting(tmp_path, monkeypatch, rows):
+    # blocks of 5 rows, so generated tables span several blocks and a partial one
+    monkeypatch.setattr(io, "CSV_BLOCK_ROWS", 5)
+    header = ["c%d" % i for i in range(rows.shape[1])]
+    write_csv(tmp_path / "t.csv", header, rows)
+    assert (tmp_path / "t.csv").read_text() == per_row_csv(header, rows)
+
+
 def test_cli_rerun_byte_identical(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    for out in (a, b):
-        out.mkdir()
-        code = main([
-            "--out", str(out), "--seed", "4", "--quad", "32x64",
+    commands = {
+        "optimize": [
+            "--seed", "4", "--quad", "32x64",
             "optimize", "--free", "na=0.3:0.9", "--fixed", "phi=0", "--budget", "40",
-        ])
-        assert code == 0
-    for name in os.listdir(a):
-        assert filecmp.cmp(a / name, b / name, shallow=False), name
+        ],
+        # a rule of four integrand blocks
+        "irp": ["--quad", "128x256", "irp", "--beam", "na=0.7,axis=-z,pol=pi/3", "--db", "9", "--grid", "25x40"],
+        "wigner": ["wigner", "--source", "input", "--xi", "0.6", "--db", "8", "--phase", "1", "--grid-n", "31"],
+    }
+    for command, args in commands.items():
+        a, b = tmp_path / command / "a", tmp_path / command / "b"
+        for out in (a, b):
+            assert main(["--out", str(out), *args]) == 0
+        for name in os.listdir(a):
+            assert filecmp.cmp(a / name, b / name, shallow=False), name
+
+
+# Runs the CLI in a child forked from a bare interpreter and prints the
+# child's exit code and peak RSS (ru_maxrss, kB on Linux). A process's own
+# ru_maxrss starts at the peak RSS of the process that exec'd it, here the
+# test runner, so it is the forked child that is measured, read through
+# os.wait4 as the benchmark reads each command it spawns.
+PEAK_RSS = """
+import os, sys
+pid = os.fork()
+if pid == 0:
+    from levsqueeze.cli import main
+    os._exit(main(sys.argv[1:]))
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_irp_peak_memory_bounded(tmp_path):
+    """Blocked evaluation keeps an IRP run's peak resident memory close to a
+    tiny run's: at 256x512 nodes and a 361x720 grid it exceeds it by about
+    the output table, not by the full-size amplitude temporaries."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    peaks = []
+    for quad, grid in (("32x64", "19x36"), ("256x512", "361x720")):
+        args = ["--out", str(tmp_path / quad), "--quad", quad, "irp", "--grid", grid]
+        done = subprocess.run([sys.executable, "-c", PEAK_RSS, *args], env=env, capture_output=True, text=True, check=True)
+        code, peak_kb = map(int, done.stdout.split())
+        assert code == 0, done.stderr
+        peaks.append(peak_kb / 1024.0)
+    small, large = peaks
+    assert large - small < 40.0, f"peak RSS {large:.1f} MB against {small:.1f} MB"
 
 
 ROUND_TRIP = {

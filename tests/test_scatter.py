@@ -115,6 +115,41 @@ def test_irp_grid_normalization_and_metadata():
     assert grid.metadata["xi_modulus"] == pytest.approx(cfg.xi.modulus)
 
 
+# 80x360 is three blocks of 22 theta rows and a partial one; with
+# n_phi > BLOCK every block is a single row.
+@pytest.mark.parametrize("n_theta, n_phi", [(80, 360), (3, angular.BLOCK + 5)])
+def test_irp_grid_blocks_match_one_shot(n_theta, n_phi, monkeypatch):
+    cfg = make_config(na=0.7, axis="y", phi=0.4, db=10.0)
+    sizes = []
+
+    def spy(theta, phi):
+        sizes.append(theta.size)
+        return angular.spherical_basis(theta, phi)
+
+    monkeypatch.setattr(scatter, "spherical_basis", spy)
+    grid = scatter.irp_grid(cfg, n_theta=n_theta, n_phi=n_phi)
+    # whole theta rows, at most BLOCK points unless one row is more
+    assert sum(sizes) == n_theta * n_phi and len(sizes) > 1
+    assert all(size % n_phi == 0 and size <= max(angular.BLOCK, n_phi) for size in sizes)
+    theta = np.linspace(0.0, np.pi, n_theta)
+    phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
+    tt, pp = np.meshgrid(theta, phi, indexing="ij")
+    f_plus, f_minus = scatter.scattering_amplitudes(cfg, direction(tt.ravel(), pp.ravel()))
+    fp2 = np.sum(np.abs(f_plus) ** 2, axis=0)
+    fm2 = np.sum(np.abs(f_minus) ** 2, axis=0)
+    dsigma = fp2 - fm2
+    total = scatter.integrated_cross_section(cfg)
+    expected = np.column_stack([tt.ravel(), pp.ravel(), dsigma, dsigma / total, fp2, fm2])
+    assert np.array_equal(grid.table, expected)
+    for name in scatter.IRP_COLUMNS[2:]:
+        field = getattr(grid, name)
+        assert np.shares_memory(field, grid.table)
+        assert np.array_equal(field, expected[:, scatter.IRP_COLUMNS.index(name)].reshape(n_theta, n_phi))
+    assert grid.normalization == total
+    assert grid.metadata["min_dsigma"] == dsigma.min()
+    assert grid.metadata["max_dsigma"] == dsigma.max()
+
+
 def test_irp_suppression_grows_with_na():
     # stronger focusing overlaps the back-scattering lobe better, so the
     # total inelastic scattering drops
