@@ -3,16 +3,17 @@
 A distribution assigns to every unit propagation vector k the complex
 transverse field it radiates along k, as Cartesian components of shape
 (3, n) orthogonal to k. Polarization sums and overlaps are therefore plain
-sums over the three components, independent of any angular basis. All
-built-in distributions are square-normalized at construction: integral
-over the sphere of the squared field modulus equals 1.
+sums over the three components, independent of any angular basis. Every
+built-in distribution is square-normalized in closed form: the integral
+over the sphere of its squared field modulus is 1, with no quadrature.
 
 Integration uses a product rule: Gauss-Legendre in cos(theta) with the
 domain split at the equator of the integration frame (so a hemisphere
 support cut never straddles a node), and a uniform periodic trapezoid in
-phi.  Beams carry a preferred axis; integrals involving them are taken on
-a grid aligned with that axis, which handles the hemisphere edge exactly
-and makes overlaps invariant under joint rotations.
+phi. Only overlaps and the callers' own integrals use it, on the rule they
+are given. Beams carry a preferred axis; integrals involving them are
+taken on a grid aligned with that axis, which handles the hemisphere edge
+exactly and makes overlaps invariant under joint rotations.
 
 The overlap of a Gaussian beam with a mode pattern also has a closed form,
 gaussian_overlap, in radial moments of the beam envelope; it needs no
@@ -22,7 +23,7 @@ sphere quadrature and is exact for beams any rule may fail to resolve.
 from __future__ import annotations
 
 import functools
-import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,6 @@ AXES = {
 
 # Geometry factors of the three motional coupling patterns: (1, 2, 7) / 5.
 MOTION_GEOMETRY_FACTORS = {"x": 1.0 / 5.0, "y": 2.0 / 5.0, "z": 7.0 / 5.0}
-
-NORM_TOLERANCE = 1e-6
 
 # Largest number of directions an integrand or an IRP table is evaluated on
 # at once: the default 64x128 rule is one block.
@@ -158,81 +157,38 @@ def integrate_sphere(f, rule=DEFAULT_RULE, axis=None):
     return np.sum(values * w)
 
 
+@dataclass(frozen=True, eq=False)
 class AngularDistribution:
-    """Square-integrable transverse field over propagation directions.
+    """Square-normalized transverse field over propagation directions.
 
-    Wraps a vectorized callable `func(k) -> (3, n)` giving the complex
-    Cartesian field at the unit vectors k, plus an optional support axis
-    (the amplitude vanishes outside the hemisphere centered on it) and the
-    quadrature rule it is normalized, and overlapped, on.
+    `amplitude(k) -> (3, n)` gives the complex Cartesian field at the unit
+    vectors k; the integral over the sphere of its squared modulus is 1.
+    The amplitude vanishes outside the hemisphere centered on the unit
+    `support_axis`, if one is given.
     """
 
-    def __init__(self, label, func, support_axis=None, normalize=True, rule=DEFAULT_RULE):
-        self.label = label
-        self._func = func
-        self.support_axis = (
-            None
-            if support_axis is None
-            else np.asarray(support_axis, float) / np.linalg.norm(support_axis)
-        )
-        self.rule = rule
-        raw = integrate_sphere(self._abs2, rule, axis=self.support_axis)
-        self.prenormalization_norm = float(np.sqrt(raw.real))
-        if normalize:
-            self._scale = 1.0 / self.prenormalization_norm
-            self.norm_squared = 1.0
-        else:
-            self._scale = 1.0
-            self.norm_squared = float(raw.real)
-
-    def _abs2(self, k):
-        return np.abs(self._func(k)) ** 2
-
-    def amplitude(self, k):
-        """Complex Cartesian field at the unit vectors k, shape (3, n)."""
-        return self._scale * np.asarray(self._func(k))
-
-    @property
-    def is_normalized(self):
-        return abs(self.norm_squared - 1.0) <= NORM_TOLERANCE
+    label: str
+    amplitude: Callable[[np.ndarray], np.ndarray]
+    support_axis: np.ndarray | None = None
 
 
-def _integration_axis(a: AngularDistribution, b: AngularDistribution):
-    if a.support_axis is not None:
-        return a.support_axis
-    return b.support_axis
+def overlap(a: AngularDistribution, b: AngularDistribution, rule=DEFAULT_RULE):
+    """Overlap integral of a . b over the sphere, no complex conjugation."""
+    return _overlap(a, b, rule, conjugate_b=False)
 
 
-def _check_normalized(*dists):
-    for d in dists:
-        if not d.is_normalized:
-            warnings.warn(
-                f"distribution '{d.label}' is not square-normalized "
-                f"(norm^2 = {d.norm_squared:.6g}); overlap is not renormalized",
-                stacklevel=3,
-            )
+def overlap_hermitian(a: AngularDistribution, b: AngularDistribution, rule=DEFAULT_RULE):
+    """Hermitian overlap, integral of a . conj(b); 1 for a == b."""
+    return _overlap(a, b, rule, conjugate_b=True)
 
 
-def overlap(a: AngularDistribution, b: AngularDistribution):
-    """Overlap integral of a . b over the sphere, no complex conjugation,
-    on the finer of the two distributions' rules."""
-    return _overlap(a, b, conjugate_b=False)
-
-
-def overlap_hermitian(a: AngularDistribution, b: AngularDistribution):
-    """Hermitian overlap, integral of a . conj(b); 1 for a == b normalized."""
-    return _overlap(a, b, conjugate_b=True)
-
-
-def _overlap(a, b, conjugate_b):
-    _check_normalized(a, b)
-    rule = max(a.rule, b.rule, key=lambda r: r.n_theta * r.n_phi)
-
+def _overlap(a, b, rule, conjugate_b):
     def product(k):
         vb = b.amplitude(k)
         return a.amplitude(k) * (np.conj(vb) if conjugate_b else vb)
 
-    return complex(integrate_sphere(product, rule, axis=_integration_axis(a, b)))
+    axis = a.support_axis if a.support_axis is not None else b.support_axis
+    return complex(integrate_sphere(product, rule, axis=axis))
 
 
 def _transverse(vector, k):
@@ -253,7 +209,7 @@ def _libration_prefactor(axis):
     return -np.sqrt(3.0 / (8.0 * np.pi))
 
 
-def make_motion_distribution(axis, rule=DEFAULT_RULE):
+def make_motion_distribution(axis):
     """Coupling pattern of the center-of-mass motion along a Cartesian axis.
 
     i * sqrt(3 / (8 pi l)) * [e_x - (e_x . k) k] * [(k - e_z) . e_axis],
@@ -265,10 +221,10 @@ def make_motion_distribution(axis, rule=DEFAULT_RULE):
     def func(k):
         return prefactor * _transverse(AXES["x"], k) * (e_mu @ k - e_mu[2])
 
-    return AngularDistribution(f"motion_{axis}", func, rule=rule)
+    return AngularDistribution(f"motion_{axis}", func)
 
 
-def make_libration_distribution(axis, rule=DEFAULT_RULE):
+def make_libration_distribution(axis):
     """Dipole coupling pattern of libration about the y or z axis:
     -sqrt(3 / (8 pi)) * [e_axis - (e_axis . k) k]."""
     prefactor = _libration_prefactor(axis)
@@ -277,16 +233,16 @@ def make_libration_distribution(axis, rule=DEFAULT_RULE):
     def func(k):
         return prefactor * _transverse(e_mu, k)
 
-    return AngularDistribution(f"libration_{axis}", func, rule=rule)
+    return AngularDistribution(f"libration_{axis}", func)
 
 
-def make_mode(kind, axis, rule=DEFAULT_RULE):
+def make_mode(kind, axis):
     """Coupling pattern of a mechanical mode: `motion` along, or `libration`
     about, the Cartesian `axis`."""
     if kind == "motion":
-        return make_motion_distribution(axis, rule=rule)
+        return make_motion_distribution(axis)
     if kind == "libration":
-        return make_libration_distribution(axis, rule=rule)
+        return make_libration_distribution(axis)
     raise ConfigError(f"mode kind must be motion or libration, got {kind!r}")
 
 
@@ -310,18 +266,18 @@ def _beam_axis(na, propagation_axis):
     return n / np.linalg.norm(n)
 
 
-def make_gaussian_beam(na, propagation_axis, polarization_angle=0.0, rule=DEFAULT_RULE):
+def make_gaussian_beam(na, propagation_axis, polarization_angle=0.0):
     """Focused-Gaussian angular envelope, linearly polarized.
 
     exp(-(sin v / NA)^2) on the hemisphere centered on the propagation
     axis (v = angle from the axis), carrying the transverse field
-    -[p - (p . k) k] of the linear polarization vector p.
-    The distribution is normalized by quadrature on `rule`;
-    gaussian_overlap gives its overlaps with the mode patterns exactly.
+    -N [p - (p . k) k] of the linear polarization vector p. The norm is
+    closed-form, N^-1 = _beam_norm(na); gaussian_overlap gives the beam's
+    overlaps with the mode patterns exactly.
     """
     n = _beam_axis(na, propagation_axis)
     u, v = beam_frame(n)
-    pol_vec = np.cos(polarization_angle) * u + np.sin(polarization_angle) * v
+    pol_vec = (np.cos(polarization_angle) * u + np.sin(polarization_angle) * v) / _beam_norm(na)
 
     def func(k):
         cos_v = n @ k
@@ -329,7 +285,7 @@ def make_gaussian_beam(na, propagation_axis, polarization_angle=0.0, rule=DEFAUL
         envelope = np.where(cos_v > 0.0, np.exp(-sin2_v / na**2), 0.0)
         return -_transverse(pol_vec, k) * envelope
 
-    return AngularDistribution(f"gaussian_na{na:g}", func, support_axis=n, rule=rule)
+    return AngularDistribution(f"gaussian_na{na:g}", func, support_axis=n)
 
 
 def _check_weight(weight):
@@ -337,18 +293,19 @@ def _check_weight(weight):
         raise ConfigError(f"beam weight must lie in [0, 1], got {weight}")
 
 
-def make_beam(na, axis=(0.0, 0.0, -1.0), polarization_angle=0.0, weight=0.0, rule=DEFAULT_RULE):
+def make_beam(na, axis=(0.0, 0.0, -1.0), polarization_angle=0.0, weight=0.0):
     """The Gaussian beam of the given parameters along `axis`.
 
     With weight w > 0 it is superposed, with amplitude sqrt(1 - w), on an
-    identical counter-propagating beam of amplitude sqrt(w).
+    identical counter-propagating beam of amplitude sqrt(w); the two live on
+    opposite hemispheres, so the pair stays normalized.
     """
     _check_weight(weight)
     axis = np.asarray(axis, dtype=float)
-    beam = make_gaussian_beam(na, axis, polarization_angle, rule=rule)
+    beam = make_gaussian_beam(na, axis, polarization_angle)
     if weight > 0.0:
-        partner = make_gaussian_beam(na, -axis, polarization_angle, rule=rule)
-        beam = superpose([beam, partner], [np.sqrt(1.0 - weight), np.sqrt(weight)], rule=rule)
+        partner = make_gaussian_beam(na, -axis, polarization_angle)
+        beam = superpose([beam, partner], [np.sqrt(1.0 - weight), np.sqrt(weight)])
     return beam
 
 
@@ -390,6 +347,14 @@ def envelope_moments(na):
     return tuple((2.0 * np.pi * b * (integrands @ weight)).tolist())
 
 
+def _beam_norm(na):
+    """The norm sqrt((G0 + G2) / 2) of the unnormalized beam field
+    -env(n . k) [p - (p . k) k], from the moments G of env^2: the envelope
+    at NA / sqrt(2)."""
+    g0, _, g2, *_ = envelope_moments(na / np.sqrt(2.0))
+    return np.sqrt((g0 + g2) / 2.0)
+
+
 def _pattern_moment(kind, mu, n, p, moments):
     """Integral over the sphere of env(n . k) [p - (p . k) k] . v(k), where
     v is the mode pattern along (motion) or about (libration) the axis of
@@ -415,7 +380,7 @@ def overlap_form(kind, mode_axis, na, axis=(0.0, 0.0, -1.0)):
     e_x n_mu F1 - delta (n_x e_mu + n_mu e_x) - e_x (F0 - beta) [mu = z];
     libration about mu: e_mu (F0 + F2) / 2), over the beam's
     N^-1 = sqrt((G0 + G2) / 2) from the moments G of env^2, the envelope
-    at NA / sqrt(2).
+    at NA / sqrt(2) (_beam_norm).
     """
     if kind == "motion":
         prefactor = _motion_prefactor(mode_axis)
@@ -426,9 +391,8 @@ def overlap_form(kind, mode_axis, na, axis=(0.0, 0.0, -1.0)):
     mu = "xyz".index(mode_axis)
     n = _beam_axis(na, axis)
     moments = envelope_moments(na)
-    g0, _, g2, *_ = envelope_moments(na / np.sqrt(2.0))
     rows = [[_pattern_moment(kind, mu, d, e, moments) for e in beam_frame(d)] for d in (n, -n)]
-    return complex(-prefactor), np.array(rows) / np.sqrt((g0 + g2) / 2.0)
+    return complex(-prefactor), np.array(rows) / _beam_norm(na)
 
 
 def form_overlap(c, R, polarization_angle, weight):
@@ -454,11 +418,11 @@ def gaussian_overlap(kind, mode_axis, na, axis=(0.0, 0.0, -1.0), polarization_an
     return form_overlap(*overlap_form(kind, mode_axis, na, axis), polarization_angle, weight)
 
 
-def rotated(dist: AngularDistribution, rotation, rule=None):
+def rotated(dist: AngularDistribution, rotation):
     """The distribution carried along by a rigid rotation of space.
 
     The field at k is the rotated field at the pulled-back direction
-    rot^T k.
+    rot^T k; the norm is unchanged.
     """
     rot = np.asarray(rotation, float)
     if rot.shape != (3, 3) or not np.allclose(rot @ rot.T, np.eye(3), atol=1e-12):
@@ -468,21 +432,18 @@ def rotated(dist: AngularDistribution, rotation, rule=None):
         return rot @ dist.amplitude(rot.T @ k)
 
     axis = None if dist.support_axis is None else rot @ dist.support_axis
-    return AngularDistribution(
-        f"{dist.label}_rotated",
-        func,
-        support_axis=axis,
-        rule=rule or dist.rule,
-        normalize=False,
-    )
+    return AngularDistribution(f"{dist.label}_rotated", func, support_axis=axis)
 
 
-def superpose(distributions, weights, label="superposition", rule=DEFAULT_RULE):
-    """Square-normalized weighted superposition of distributions.
+def superpose(distributions, weights, label="superposition"):
+    """Weighted sum of distributions.
 
-    Keeps a support axis only if every component shares a collinear one
-    (e.g. two counter-propagating beams), so that the hemisphere cut stays
-    aligned with the integration grid.
+    The sum is square-normalized when the supports are disjoint and the
+    weights have unit norm, sum |w|^2 = 1: exactly make_beam's
+    counter-propagating pair. Nothing is renormalized. Keeps a support axis
+    only if every component shares a collinear one (e.g. two
+    counter-propagating beams), so that the hemisphere cut stays aligned
+    with the integration grid.
     """
     if len(distributions) != len(weights) or not distributions:
         raise ConfigError("need equally many distributions and weights, at least one")
@@ -499,4 +460,4 @@ def superpose(distributions, weights, label="superposition", rule=DEFAULT_RULE):
     if all(a is not None for a in axes):
         if all(abs(abs(np.dot(a, axes[0])) - 1.0) < 1e-12 for a in axes):
             axis = axes[0]
-    return AngularDistribution(label, func, support_axis=axis, rule=rule)
+    return AngularDistribution(label, func, support_axis=axis)

@@ -392,10 +392,10 @@ def irp(run, opt):
     """Differential cross section and information radiation pattern."""
     params = parse_beam_spec(opt.beam)
     label = params.pop("label")
-    mode = make_mode(opt.kind, opt.axis, run.rule)
-    beam = make_beam(**params, rule=run.rule)
+    mode = make_mode(opt.kind, opt.axis)
+    beam = make_beam(**params)
     xi = squeeze.beam_overlap(opt.kind, opt.axis, params)
-    error = _flag_unresolved(squeeze.quadrature_error(xi, beam, mode), label)
+    error = _flag_unresolved(squeeze.quadrature_error(xi, beam, mode, run.rule), label)
     cfg = scatter.ScatterConfig(
         mode=mode,
         beam=beam,

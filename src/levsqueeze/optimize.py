@@ -234,11 +234,8 @@ def optimize(problem: OptimizationProblem, budget: int = 200) -> OptimizationRes
 
     params, best = evaluator.best
     xi = beam_overlap(problem.mode_kind, problem.mode_axis, evaluator.beam(params))
-    error = quadrature_error(
-        xi,
-        make_beam(**evaluator.beam(params), rule=problem.rule),
-        make_mode(problem.mode_kind, problem.mode_axis, rule=problem.rule),
-    )
+    beam, mode = make_beam(**evaluator.beam(params)), make_mode(problem.mode_kind, problem.mode_axis)
+    error = quadrature_error(xi, beam, mode, problem.rule)
     return OptimizationResult(
         best_params={n: float(params[n]) for n in problem.names},
         best_value=best,

@@ -24,8 +24,10 @@ class ScatterConfig:
 
     phi convention: sq.phi_s is the absolute squeezing phase when
     absolute_phase is True, otherwise the offset phi_s - 2 arg(xi).
-    xi is the beam's overlap with the mode: given (e.g. the exact
-    squeeze.beam_overlap of a Gaussian beam), or integrated by mode_overlap.
+    The beam is square-normalized, as every built-in distribution is. xi
+    is its overlap with the mode: given (e.g. the exact
+    squeeze.beam_overlap of a Gaussian beam), or integrated on `rule` by
+    mode_overlap. `rule` also integrates the total cross section.
     """
 
     mode: AngularDistribution
@@ -36,10 +38,8 @@ class ScatterConfig:
     xi: OverlapResult | None = None
 
     def __post_init__(self):
-        if not self.beam.is_normalized:
-            raise ConfigError("beam distribution must be square-normalized")
         if self.xi is None:
-            self.xi = mode_overlap(self.beam, self.mode)
+            self.xi = mode_overlap(self.beam, self.mode, self.rule)
 
     @property
     def relative_phase(self):

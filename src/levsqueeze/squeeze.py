@@ -75,10 +75,10 @@ def _bounded(xi: complex) -> OverlapResult:
     return OverlapResult(xi=complex(xi))
 
 
-def mode_overlap(beam: AngularDistribution, mode: AngularDistribution) -> OverlapResult:
-    """Overlap of the (normalized) beam with a mode pattern, no conjugation,
-    integrated on the finer of their quadrature rules."""
-    return _bounded(overlap(beam, mode))
+def mode_overlap(beam: AngularDistribution, mode: AngularDistribution, rule=DEFAULT_RULE) -> OverlapResult:
+    """Overlap of the beam with a mode pattern, no conjugation, integrated
+    on `rule`."""
+    return _bounded(overlap(beam, mode, rule))
 
 
 def beam_overlap(kind: str, axis: str, beam: dict) -> OverlapResult:
@@ -88,10 +88,12 @@ def beam_overlap(kind: str, axis: str, beam: dict) -> OverlapResult:
     return _bounded(gaussian_overlap(kind, axis, **beam))
 
 
-def quadrature_error(xi: OverlapResult, beam: AngularDistribution, mode: AngularDistribution) -> float:
-    """|xi - mode_overlap(beam, mode)|: how far the quadrature rule of the
-    distributions is from the exact overlap xi."""
-    return abs(xi.xi - mode_overlap(beam, mode).xi)
+def quadrature_error(
+    xi: OverlapResult, beam: AngularDistribution, mode: AngularDistribution, rule: QuadratureRule
+) -> float:
+    """|xi - mode_overlap(beam, mode, rule)|: how far the overlap integrated
+    on `rule` is from the exact overlap xi."""
+    return abs(xi.xi - mode_overlap(beam, mode, rule).xi)
 
 
 def relative_phase(xi: OverlapResult, sq: SqueezeParams, absolute_phase=True) -> float:
@@ -224,7 +226,7 @@ def recoil_sweep(
     reported beside it. Returns (header, rows, overlaps, errors), the last
     two keyed by column.
     """
-    mode = make_mode(kind, axis, rule=rule)
+    mode = make_mode(kind, axis)
     columns = []
     overlaps = {}
     errors = {}
@@ -235,7 +237,7 @@ def recoil_sweep(
         res = beam_overlap(kind, axis, params)
         columns.append((f"ratio_{label}", res))
         overlaps[f"ratio_{label}"] = res.xi
-        errors[f"ratio_{label}"] = quadrature_error(res, make_beam(**params, rule=rule), mode)
+        errors[f"ratio_{label}"] = quadrature_error(res, make_beam(**params), mode, rule)
 
     header = ["r_s"] + [name for name, _ in columns]
     rows = []

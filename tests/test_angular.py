@@ -42,16 +42,19 @@ def test_integrate_rejects_nonfinite():
 # 128x256 is exactly four blocks, 130x250 three and a partial one.
 @pytest.mark.parametrize("rule", [angular.QuadratureRule(128, 256), angular.QuadratureRule(130, 250)])
 def test_integrate_sphere_blocks_match_one_shot(rule):
-    beam = angular.make_beam(0.6, axis=(1.0, 1.0, -1.0), weight=0.3, rule=rule)
-    mode = angular.make_mode("motion", "y", rule)
+    beam = angular.make_beam(0.6, axis=(1.0, 1.0, -1.0), weight=0.3)
+    mode = angular.make_mode("motion", "y")
     sizes = []
+
+    def squared_field(k):
+        return np.abs(beam.amplitude(k)) ** 2
 
     def field_product(k):
         sizes.append(k.shape[1])
         return beam.amplitude(k) * mode.amplitude(k)
 
     k, w = rule.nodes(axis=beam.support_axis)
-    for f in (beam._abs2, field_product):
+    for f in (squared_field, field_product):
         one_shot = np.sum(np.asarray(f(k)).sum(0) * w)
         sizes.clear()
         assert angular.integrate_sphere(f, rule, axis=beam.support_axis) == one_shot
@@ -84,18 +87,38 @@ def test_spherical_basis_orthonormal():
 
 
 def test_motion_patterns_normalized():
+    # the closed-form geometry factor normalizes the pattern; 64x128
+    # integrates its polynomial exactly
     for axis in ("x", "y", "z"):
         dist = angular.make_motion_distribution(axis)
-        assert dist.is_normalized
-        # the closed-form geometry factor already normalizes the pattern
-        assert dist.prenormalization_norm == pytest.approx(1.0, abs=1e-12)
+        assert abs(angular.overlap_hermitian(dist, dist, angular.DEFAULT_RULE) - 1.0) < 1e-12
 
 
 def test_libration_patterns_normalized():
     for axis in ("y", "z"):
         dist = angular.make_libration_distribution(axis)
-        assert dist.is_normalized
-        assert dist.prenormalization_norm == pytest.approx(1.0, abs=1e-12)
+        assert abs(angular.overlap_hermitian(dist, dist, angular.DEFAULT_RULE) - 1.0) < 1e-12
+
+
+def test_beams_normalized_in_closed_form():
+    # random apertures, axes, polarizations and weights; 256x512 resolves
+    # these beams, so their squared norm is 1 to the rule's rounding
+    rng = np.random.default_rng(21)
+    fine = angular.QuadratureRule(256, 512)
+    for case in range(20):
+        na, direction = rng.uniform(0.2, 1.0), rng.normal(size=3)
+        pol, weight = rng.uniform(0.0, 2.0 * np.pi), (0.0, 1.0, rng.uniform())[case % 3]
+        beam = angular.make_beam(na, direction, pol, weight)
+        assert abs(angular.overlap_hermitian(beam, beam, fine) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("na", [0.02, 0.05, 0.1])
+def test_narrow_beams_normalized_in_closed_form(na):
+    # 1024x16 resolves a narrow envelope that 64x128 does not
+    rule = angular.QuadratureRule(1024, 16)
+    for axis, weight in (((0.0, 0.0, -1.0), 0.0), ((1.0, -2.0, 0.5), 0.4)):
+        beam = angular.make_beam(na, axis, 0.7, weight)
+        assert abs(angular.overlap_hermitian(beam, beam, rule) - 1.0) < 1e-11
 
 
 def test_motion_orthogonality():
@@ -136,7 +159,7 @@ def test_rotated_preserves_norm():
     beam = angular.make_gaussian_beam(na=0.5, propagation_axis=[0, 0, -1])
     rot = angular.rotation_to_axis(np.array([0.3, -0.7, 0.2]))
     moved = angular.rotated(beam, rot)
-    assert moved.norm_squared == pytest.approx(1.0, abs=1e-10)
+    assert abs(angular.overlap_hermitian(moved, moved) - 1.0) < 1e-12
 
 
 def test_overlap_variants_differ_by_conjugation():
@@ -153,20 +176,7 @@ def test_superpose_counterpropagating_keeps_axis():
     b = angular.make_gaussian_beam(na=0.5, propagation_axis=[0, 0, -1])
     mix = angular.superpose([a, b], [np.sqrt(0.5), np.sqrt(0.5)])
     assert mix.support_axis is not None
-    assert mix.is_normalized
-
-
-def test_unnormalized_overlap_warns():
-    beam = angular.make_gaussian_beam(na=0.5, propagation_axis=[0, 0, -1])
-    shrunk = angular.AngularDistribution(
-        "half",
-        lambda k: 0.5 * beam.amplitude(k),
-        support_axis=beam.support_axis,
-        normalize=False,
-    )
-    mode = angular.make_motion_distribution("z")
-    with pytest.warns(UserWarning):
-        angular.overlap(shrunk, mode)
+    assert abs(angular.overlap_hermitian(mix, mix) - 1.0) < 1e-12
 
 
 def test_make_mode_dispatches_on_kind():
@@ -182,7 +192,8 @@ def test_make_beam_weight_mixes_counterpropagating_pair():
     mode = angular.make_motion_distribution("z")
     assert angular.overlap(single, mode) == angular.overlap(reference, mode)
     pair = angular.make_beam(0.6, [0, 0, -1], polarization_angle=0.4, weight=0.3)
-    assert pair.is_normalized and pair.support_axis is not None
+    assert pair.support_axis is not None
+    assert abs(angular.overlap_hermitian(pair, pair) - 1.0) < 1e-12
     with pytest.raises(ConfigError):
         angular.make_beam(0.6, weight=1.5)
 
@@ -200,8 +211,8 @@ def test_gaussian_overlap_matches_fine_quadrature():
         na, direction = rng.uniform(0.2, 0.95), rng.normal(size=3)
         pol, weight = rng.uniform(0.0, 2.0 * np.pi), (0.0, 1.0, rng.uniform())[case % 3]
         exact = angular.gaussian_overlap(kind, axis, na, direction, pol, weight)
-        beam = angular.make_beam(na, direction, pol, weight, rule=fine)
-        assert abs(exact - angular.overlap(beam, angular.make_mode(kind, axis, rule=fine))) < 1e-13
+        beam = angular.make_beam(na, direction, pol, weight)
+        assert abs(exact - angular.overlap(beam, angular.make_mode(kind, axis), fine)) < 1e-13
 
 
 def test_envelope_moments_closed_forms():

@@ -253,17 +253,38 @@ def test_pure_state_exact_at_high_squeezing(tmp_path, args, artifact, key):
 def test_quad_reaches_overlaps(tmp_path):
     # the written overlap is exact; --quad sets the rule of the integral
     # that checks it, and the written quadrature_error is their distance
-    # (4.5e-10 at 16x32 for this oblique beam, 8e-17 at the default 64x128)
+    # (2.3e-11 at 16x32 for this oblique beam, 3e-17 at the default 64x128;
+    # the beam's norm is closed-form, so only the overlap is on the rule)
     assert run(tmp_path, "--quad", "16x32", "recoil", "--axis", "z", "--beam", "na=0.8,axis=-x") == 0
     written = json.loads((tmp_path / "recoil_params.json").read_text())["overlaps"]["ratio_na0.8_-x"]
     exact = gaussian_overlap("motion", "z", 0.8, [-1.0, 0.0, 0.0])
     assert complex(written["re"], written["im"]) == exact
     rule = QuadratureRule(16, 32)
-    beam, mode = make_beam(0.8, [-1.0, 0.0, 0.0], rule=rule), make_mode("motion", "z", rule=rule)
+    beam, mode = make_beam(0.8, [-1.0, 0.0, 0.0]), make_mode("motion", "z")
     xi = integrate_sphere(lambda k: beam.amplitude(k) * mode.amplitude(k), rule, axis=beam.support_axis)
     assert written["quadrature_error"] == abs(exact - xi)
-    default = overlap(make_beam(0.8, [-1.0, 0.0, 0.0]), make_mode("motion", "z"))
-    assert abs(exact - default) < 1e-14 and written["quadrature_error"] > 1e-10
+    default_error = abs(exact - overlap(beam, mode))
+    assert default_error < 1e-14 and written["quadrature_error"] > 1e4 * default_error
+
+
+def test_unresolved_beam_irp_matches_fine_rule(tmp_path, capsys):
+    # the beam is normalized in closed form, so an irp at a rule that does
+    # not resolve the beam tabulates the same fields as at 1024x16; only
+    # the IRP total (hence the irp column) is on the rule, and it stays
+    # close to the exact ratio
+    args = ["irp", "--beam", "na=0.05,axis=-z", "--db", "15", "--grid", "19x36"]
+    assert run(tmp_path / "default", *args) == 0
+    assert "warning: na0.05_-z" in capsys.readouterr().err
+    assert run(tmp_path / "fine", "--quad", "1024x16", *args) == 0
+    tables = {}
+    for quad in ("default", "fine"):
+        header, *rows = (tmp_path / quad / "irp.csv").read_text().splitlines()
+        tables[quad] = dict(zip(header.split(","), zip(*(row.split(",") for row in rows))))
+    for column in ("theta", "phi", "dsigma", "f_plus_sq", "f_minus_sq"):
+        assert tables["default"][column] == tables["fine"][column]
+    meta = json.loads((tmp_path / "default" / "irp_meta.json").read_text())
+    assert abs(meta["normalization"] - meta["ratio"]) < 5e-4
+    assert meta["quadrature_error"] > 1e-8
 
 
 def test_narrow_beam_overlap_exact_and_flagged(tmp_path, capsys):

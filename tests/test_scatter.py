@@ -71,9 +71,7 @@ def test_perfect_overlap_strong_squeezing_kills_scattering():
     # a beam profile identical to the mode pattern gives |xi| = 1; at the
     # optimal phase and large r the scattered power vanishes pointwise
     mode = angular.make_motion_distribution("z")
-    beam = angular.AngularDistribution(
-        "mode_clone", mode.amplitude, normalize=False
-    )
+    beam = angular.AngularDistribution("mode_clone", mode.amplitude)
     sq = squeeze.SqueezeParams(r_s=3.0, phi_s=0.0)
     cfg = scatter.ScatterConfig(mode=mode, beam=beam, sq=sq, absolute_phase=False)
     assert cfg.xi.modulus == pytest.approx(1.0, abs=1e-10)
@@ -85,7 +83,7 @@ def test_perfect_overlap_strong_squeezing_kills_scattering():
 def test_squeezing_coefficient_matches_ratio_at_high_squeezing():
     # 2 Re(conj(xi) g) = ratio - 1 for a beam identical to the mode (|xi| = 1)
     mode = angular.make_motion_distribution("z")
-    beam = angular.AngularDistribution("mode_clone", mode.amplitude, normalize=False)
+    beam = angular.AngularDistribution("mode_clone", mode.amplitude)
     for db in range(0, 81, 5):
         sq = squeeze.SqueezeParams(r_s=squeeze.db_to_r(db), phi_s=0.0)
         cfg = scatter.ScatterConfig(mode=mode, beam=beam, sq=sq, absolute_phase=False)
@@ -172,14 +170,3 @@ def test_irp_grid_validation():
     cfg = make_config()
     with pytest.raises(ConfigError):
         scatter.irp_grid(cfg, n_theta=1, n_phi=36)
-
-
-def test_unnormalized_beam_rejected():
-    mode = angular.make_motion_distribution("z")
-    beam = angular.AngularDistribution(
-        "dim", lambda k: 0.5 * mode.amplitude(k), normalize=False
-    )
-    with pytest.raises(ConfigError):
-        scatter.ScatterConfig(
-            mode=mode, beam=beam, sq=squeeze.SqueezeParams(r_s=1.0)
-        )

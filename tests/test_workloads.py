@@ -65,6 +65,14 @@ def test_traced_overlaps_use_the_quad_rule(tmp_path):
         and spans[span["parent"]]["name"] == "squeeze.mode_overlap"
     ]
     assert under_overlap and all(span["nodes"] == 16 * 32 for span in under_overlap)
+    # constructors normalize in closed form and integrate nothing
+    assert any(span["name"] == "angular.construct" for span in spans)
+    assert not any(
+        span["name"] == "angular.integrate_sphere"
+        and span["parent"] is not None
+        and spans[span["parent"]]["name"] == "angular.construct"
+        for span in spans
+    )
 
 
 def test_every_traced_name_resolves():
