@@ -319,7 +319,7 @@ def per_row_csv(header, rows):
 
 def test_csv_streams_blocks_byte_identical(tmp_path):
     # several blocks and a partial one, against the per-row formatting
-    rows = np.random.default_rng(3).normal(size=(2 * io.CSV_BLOCK_ROWS + 7, 3)) * 10.0 ** np.arange(-6, 9, 5)
+    rows = np.random.default_rng(3).normal(size=(2 * io.CSV_BLOCK_CELLS // 3 + 7, 3)) * 10.0 ** np.arange(-6, 9, 5)
     rows[::5, 0] = np.arange(len(rows))[::5]
     # signed zeros, the smallest subnormal, extremes and integers at and past 1e12
     rows[1:4] = [[-0.0, 0.0, 5e-324], [1e300, -1e-300, 1e12], [123456789012345.0, 2.0**53, -1e15]]
@@ -340,11 +340,81 @@ def test_csv_streams_blocks_byte_identical(tmp_path):
     )
 )
 def test_csv_matches_per_row_formatting(tmp_path, monkeypatch, rows):
-    # blocks of 5 rows, so generated tables span several blocks and a partial one
-    monkeypatch.setattr(io, "CSV_BLOCK_ROWS", 5)
+    # blocks of 5 cells, so generated tables span several blocks and a
+    # partial one, and blocks end inside rows
+    monkeypatch.setattr(io, "CSV_BLOCK_CELLS", 5)
     header = ["c%d" % i for i in range(rows.shape[1])]
     write_csv(tmp_path / "t.csv", header, rows)
     assert (tmp_path / "t.csv").read_text() == per_row_csv(header, rows)
+
+
+def test_write_csv_requires_one_column_per_name(tmp_path):
+    for rows in (np.zeros((4, 6)), np.zeros(3), np.zeros((2, 3, 1)), [[1.0, 2.0]], np.zeros((0, 2))):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "t.csv", ["a", "b", "c"], rows)
+    assert os.listdir(tmp_path) == []
+    # an empty list and a table of no rows give a header-only file
+    for rows in ([], np.zeros((0, 3))):
+        write_csv(tmp_path / "t.csv", ["a", "b", "c"], rows)
+        assert (tmp_path / "t.csv").read_text() == "a,b,c\n"
+
+
+def csv_kernel_cases(rng):
+    """At least 200k finite cells that stress a %.12g formatter."""
+    bits = rng.integers(0, 2**63, size=60000, dtype=np.int64) * rng.choice([-1, 1], size=60000)
+    patterns = bits.view(np.float64)
+    patterns = patterns[np.isfinite(patterns)]
+    # 1-15 significant digits at decimal exponents -330..308
+    digits = rng.integers(1, 16, size=70000)
+    exponents = rng.integers(-330, 309, size=70000)
+    mantissas = rng.integers(10**14, 10**15, size=70000) // 10 ** (15 - digits)
+    rounded = np.array([float(f"{m}e{e - d + 1}") for m, e, d in zip(mantissas.tolist(), exponents.tolist(), digits.tolist())])
+    rounded = rounded[np.isfinite(rounded)]
+    rounded *= rng.choice([-1.0, 1.0], size=rounded.size)
+    # twelve-digit ties, rounding carries and the fixed/exponent switch
+    special = [1234567890125.0, 999999999999.5, 1234567890125e-20, 0.5, 2.5, 1e16, 123456789012.5]
+    special += [float(f"9.9999999999995e{k}") for k in range(-310, 308)]
+    special += [float(f"9.99999999999{d}e{k}") for d in range(10) for k in (-6, -5, -4, 10, 11, 12)]
+    special += [9.99999999999e-5, 1e-4, 1e-5, 99999999999.95, 1e11, 1e12, 999999999999.4, 0.00099999999999951]
+    special += [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e-297, 1e-298, 1e308]
+    special = np.array(special)
+    scaled = rng.normal(size=70000) * 10.0 ** rng.uniform(-6, 9, size=70000)
+    return np.concatenate([patterns, rounded, special, -special, scaled])
+
+
+def test_csv_bytes_match_percent_at_volume(tmp_path):
+    cells = csv_kernel_cases(np.random.default_rng(13))
+    assert cells.size >= 200000
+    cells = np.concatenate([cells, np.zeros(-cells.size % 5)]).reshape(-1, 5)
+    header = ["a", "b", "c", "d", "e"]
+    write_csv(tmp_path / "t.csv", header, cells)
+    assert (tmp_path / "t.csv").read_text() == per_row_csv(header, cells)
+
+
+def test_csv_kernel_proves_most_cells_in_bounded_blocks(tmp_path, monkeypatch):
+    # the exact % fallback formats under 1 % of a typical table, zeros
+    # included, and no kernel call sees more than CSV_BLOCK_CELLS cells
+    rng = np.random.default_rng(17)
+    table = (rng.normal(size=100000) * 10.0 ** rng.uniform(-6, 9, size=100000)).reshape(-1, 4)
+    table[::10, 1] = 0.0
+    sizes, exact = [], []
+
+    def block_spy(cells, ends):
+        sizes.append(cells.size)
+        return format_block(cells, ends)
+
+    def exact_spy(cells):
+        exact.append(cells.size)
+        return format_exact(cells)
+
+    format_block, format_exact = io._format_block, io._exact
+    monkeypatch.setattr(io, "_format_block", block_spy)
+    monkeypatch.setattr(io, "_exact", exact_spy)
+    write_csv(tmp_path / "t.csv", ["a", "b", "c", "d"], table)
+    assert (tmp_path / "t.csv").read_text() == per_row_csv(["a", "b", "c", "d"], table)
+    assert sum(sizes) == table.size and len(sizes) > 1
+    assert max(sizes) <= io.CSV_BLOCK_CELLS
+    assert sum(exact) < 0.01 * table.size
 
 
 def test_cli_rerun_byte_identical(tmp_path):

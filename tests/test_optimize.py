@@ -174,6 +174,16 @@ def run_python(code, *args):
     return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True)
 
 
+def test_cli_import_builds_no_polynomial_module_and_no_csv_tables():
+    # both are paid on first use, not by every command's start-up
+    proc = run_python(
+        "import sys, levsqueeze.cli, levsqueeze.io as io\n"
+        "print(sorted(k for k in sys.modules if k.startswith('numpy.polynomial')), io._tables.cache_info().currsize)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]", "0"]
+
+
 def test_cli_neither_imports_nor_needs_scipy(tmp_path):
     proc = run_python(
         "import sys, levsqueeze.cli; print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"
