@@ -3,22 +3,24 @@
 Subcommands emit CSV tables and JSON sidecars for recoil sweeps, radiation
 patterns, sensitivity curves, beam optimization and Wigner-function data.
 Each option is declared once, as a row of OPTIONS (or COMMON for the group
-options); that row yields the click flag, the typed property of the
-command's config section, and the line in the echoed config. A flag beats
-the config file, which beats the default; each run echoes its resolved
-settings to `<command>_config.json`, so reruns are reproducible.
+options); that row yields the click flag, the type of its key in the
+command's config section, and the line in the echoed config. The physics
+sections of a config file are the fields of the `physics` dataclasses, which
+hold every bound on them. A flag beats the config file, which beats the
+default; each run echoes its resolved settings to `<command>_config.json`,
+so reruns are reproducible.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
-import importlib.resources
 import json
 import math
 import os
 import re
 import sys
+from dataclasses import fields
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -33,7 +35,8 @@ from .io import write_csv, write_json
 from .optimize import OptimizationProblem, optimize as run_optimize
 
 CONFIG_DIR_ENV = "LEVSQUEEZE_CONFIG_DIR"
-PHYSICS_SECTIONS = ("laser", "particle", "rotor")
+# Config sections of physics inputs, by the dataclass each one builds.
+PHYSICS_SECTIONS = {"laser": physics.Laser, "particle": physics.Particle, "rotor": physics.Rotor}
 # Largest quadrature error of a reported overlap that passes without a warning.
 QUADRATURE_WARNING = 1e-8
 
@@ -201,8 +204,16 @@ class _Number(click.ParamType):
         return parse_number(value, param.name if param else self.name)
 
 
-# Per default type: click option settings, and the JSON type of the config
-# key. String options also take JSON numbers, which click turns into strings.
+def _is_number(value):
+    """A finite JSON number; true and false are not numbers."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
+
+
+# Per default type: click option settings, and what the option's value in a
+# config file must be. String options also take numbers, which click turns
+# into strings; an integer may be written 20.0.
 _CLICK_KIND = {
     bool: {"is_flag": True},
     tuple: {"multiple": True},
@@ -210,12 +221,12 @@ _CLICK_KIND = {
     float: {"type": _Number()},
     str: {},
 }
-_JSON_TYPE = {
-    bool: {"type": "boolean"},
-    tuple: {"type": "array", "items": {"type": "string"}},
-    int: {"type": "integer", "minimum": 0},
-    float: {"type": "number"},
-    str: {"type": ["string", "number"]},
+_CONFIG_KIND = {
+    bool: ("a boolean", lambda v: isinstance(v, bool)),
+    tuple: ("an array of strings", lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v)),
+    int: ("a non-negative integer", lambda v: _is_number(v) and v >= 0 and v == int(v)),
+    float: ("a finite number", _is_number),
+    str: ("a string or a finite number", lambda v: isinstance(v, str) or _is_number(v)),
 }
 
 
@@ -230,23 +241,9 @@ def _with_options(opts):
     return decorate
 
 
-def config_schema() -> dict:
-    """The config file schema: the physics sections of config_schema.json
-    plus one typed section per subcommand, derived from OPTIONS."""
-    text = importlib.resources.files("levsqueeze").joinpath("config_schema.json").read_text()
-    schema = json.loads(text)
-    for command, opts in OPTIONS.items():
-        schema["properties"][command] = {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                o.name: {**_JSON_TYPE[type(o.default)], "description": o.help} for o in COMMON + opts
-            },
-        }
-    return schema
-
-
 def load_config(path):
+    """The config file at `path` (or in $LEVSQUEEZE_CONFIG_DIR), checked,
+    with each physics section built into its `physics` dataclass."""
     if path is None:
         directory = os.environ.get(CONFIG_DIR_ENV)
         if directory:
@@ -262,19 +259,35 @@ def load_config(path):
         raise ConfigError(f"cannot read config file: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from None
-    _validate_config(config)
+    _check_section("(top level)", config, [*PHYSICS_SECTIONS, *OPTIONS])
+    for name, section in config.items():
+        if name in PHYSICS_SECTIONS:
+            inputs = PHYSICS_SECTIONS[name]
+            names = [field.name for field in fields(inputs)]
+            _check_section(name, section, names, required=names)
+            try:
+                config[name] = inputs(**section)
+            except ConfigError as exc:
+                raise ConfigError(f"config field {name}: {exc}") from None
+        else:
+            defaults = {o.name: o.default for o in COMMON + OPTIONS[name]}
+            _check_section(name, section, defaults)
+            for key, value in section.items():
+                what, accepts = _CONFIG_KIND[type(defaults[key])]
+                if not accepts(value):
+                    raise ConfigError(f"config field {name}/{key}: expected {what}, got {value!r}")
     return config
 
 
-def _validate_config(config):
-    import jsonschema  # only runs that read a config file pay for this import
-
-    try:
-        # The schema itself is checked by the tests, not on every run.
-        jsonschema.Draft202012Validator(config_schema()).validate(config)
-    except jsonschema.ValidationError as exc:
-        field = "/".join(str(p) for p in exc.absolute_path) or "(top level)"
-        raise ConfigError(f"config field {field}: {exc.message}") from None
+def _check_section(path, section, known, required=()):
+    """A config section is an object of `known` keys, `required` among them."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"config field {path}: expected an object, got {section!r}")
+    unknown = [k for k in section if k not in known]
+    missing = [k for k in required if k not in section]
+    for problem, keys in (("unknown", unknown), ("missing", missing)):
+        if keys:
+            raise ConfigError(f"config field {path}: {problem} keys {', '.join(map(repr, keys))}")
 
 
 def _read_config(ctx, param, path):
@@ -302,10 +315,7 @@ class Run:
         cfg = self.config
         if "laser" not in cfg:
             return None
-        laser = physics.Laser(**cfg["laser"])
-        particle = physics.Particle(**cfg["particle"]) if "particle" in cfg else None
-        rotor = physics.Rotor(**cfg["rotor"]) if "rotor" in cfg else None
-        return physics.derived_report(laser, particle=particle, rotor=rotor)
+        return physics.derived_report(cfg["laser"], particle=cfg.get("particle"), rotor=cfg.get("rotor"))
 
 
 @click.group()
@@ -334,7 +344,7 @@ def command(name):
             opt = SimpleNamespace(**values)
             body(run, opt)
             payload = {name: {**vars(opt), **run.common}}
-            payload.update({k: run.config[k] for k in PHYSICS_SECTIONS if k in run.config})
+            payload.update({k: vars(run.config[k]) for k in PHYSICS_SECTIONS if k in run.config})
             write_json(run.path(f"{name}_config.json"), payload)
 
         return cli.command(name, help=body.__doc__)(_with_options(OPTIONS[name])(callback))
@@ -361,7 +371,10 @@ def recoil(run, opt):
     beams = {}
     for spec in opt.beams:
         params = parse_beam_spec(spec)
-        beams[params.pop("label")] = params
+        label = params.pop("label")
+        if label in beams:
+            raise ConfigError(f"beam {label!r} is given twice: each --beam names its column ratio_{label}")
+        beams[label] = params
     db_values = parse_db_range(opt.db)
     header, rows, overlaps, errors = squeeze.recoil_sweep(
         beams,

@@ -6,8 +6,9 @@ All quantities in SI units; angular frequencies in rad/s.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -16,6 +17,18 @@ from .constants import C, EPS0, HBAR
 from .errors import ConfigError
 
 DEFAULT_DAMPING_RATIO = 1e-6  # gamma_mu / Omega_mu unless specified
+
+
+def _require_finite(inputs):
+    """Every field of a physics input is a finite real number; a bool is not one."""
+    for field in fields(inputs):
+        value = getattr(inputs, field.name)
+        try:
+            finite = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):  # not a number, or an int beyond float range
+            finite = False
+        if not finite:
+            raise ConfigError(f"{field.name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -27,6 +40,7 @@ class Particle:
     permittivity: float  # relative
 
     def __post_init__(self):
+        _require_finite(self)
         if self.radius <= 0:
             raise ConfigError("particle radius must be positive")
         if self.density <= 0:
@@ -60,10 +74,13 @@ class Rotor:
     volume: float  # m^3
 
     def __post_init__(self):
+        _require_finite(self)
         if not (self.alpha_parallel > self.alpha_perp > 0):
             raise ConfigError("rotor requires alpha_parallel > alpha_perp > 0")
         if self.moment_of_inertia <= 0:
             raise ConfigError("moment of inertia must be positive")
+        if self.permittivity <= 1:
+            raise ConfigError("relative permittivity must exceed 1")
         if self.volume <= 0:
             raise ConfigError("rotor volume must be positive")
 
@@ -81,6 +98,7 @@ class Laser:
     wavelength: float  # m
 
     def __post_init__(self):
+        _require_finite(self)
         if min(self.power, self.waist, self.wavelength) <= 0:
             raise ConfigError("laser power, waist and wavelength must be positive")
         if self.waist < self.wavelength / 2.0:
@@ -175,8 +193,6 @@ def derive_motion_modes(particle: Particle, laser: Laser, damping_ratio=DEFAULT_
 
 def libration_frequency(rotor: Rotor, laser: Laser):
     """Libration frequency (rad/s), equal for the y and z modes."""
-    if rotor.delta_alpha <= 0:
-        raise ConfigError("libration requires alpha_parallel > alpha_perp")
     a2 = alpha0_squared(laser)
     return np.sqrt(
         rotor.delta_alpha

@@ -181,32 +181,6 @@ def recoil_ratio(xi: OverlapResult, sq: SqueezeParams, absolute_phase=True) -> f
     return input_spectra(xi, sq, absolute_phase).sxx
 
 
-def cross_rate(
-    xi_a: OverlapResult,
-    xi_b: OverlapResult,
-    g0_a: float,
-    g0_b: float,
-    sq: SqueezeParams,
-    diagonal: bool = False,
-) -> float:
-    """Squeezing-mediated rate coupling two mechanical modes, rad/s.
-
-    Gamma_ab = Gamma0 delta_ab
-             + 2 sqrt(Gamma0_a Gamma0_b) |xi_a xi_b|
-               [s0^2 - s0 c0 cos(phi_s - psi_a - psi_b)]
-             = Gamma0 delta_ab + sqrt(Gamma0_a Gamma0_b) |xi_a xi_b| (sxx - 1)
-
-    with sxx of the pure spectra at phase phi_s - psi_a - psi_b. The
-    coupling is subtracted before sxx is added, so the diagonal keeps the
-    squeezed floor Gamma0 e^{-2r} at full precision.
-    """
-    if g0_a < 0 or g0_b < 0:
-        raise ConfigError("bare recoil rates must be non-negative")
-    sxx = pure_spectra(sq.r_s, sq.phi_s - xi_a.phase - xi_b.phase).sxx
-    coupling = math.sqrt(g0_a * g0_b) * xi_a.modulus * xi_b.modulus
-    return ((g0_a if diagonal else 0.0) - coupling) + coupling * sxx
-
-
 def recoil_sweep(
     beams: dict[str, dict] | None,
     axis: str,

@@ -5,14 +5,13 @@ import os
 import subprocess
 import sys
 
-import jsonschema
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from levsqueeze import cli, io
-from levsqueeze.cli import OPTIONS, config_schema, main, parse_beam_spec, parse_db_range, parse_number, parse_quad
+from levsqueeze.cli import OPTIONS, main, parse_beam_spec, parse_db_range, parse_number, parse_quad
 from levsqueeze.angular import QuadratureRule, gaussian_overlap, integrate_sphere, make_beam, make_mode, overlap
 from levsqueeze.errors import ConfigError, NumericalFailure
 from levsqueeze.io import write_csv, write_json
@@ -20,6 +19,13 @@ from levsqueeze.io import write_csv, write_json
 
 def run(tmp_path, *args):
     return main(["--out", str(tmp_path), *args])
+
+
+def fresh_python(code, *args):
+    """Run `code` in a new interpreter that imports levsqueeze from this source tree."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True)
 
 
 def test_parse_phase_pi_literals():
@@ -455,12 +461,10 @@ def test_irp_peak_memory_bounded(tmp_path):
     """Blocked evaluation keeps an IRP run's peak resident memory close to a
     tiny run's: at 256x512 nodes and a 361x720 grid it exceeds it by about
     the output table, not by the full-size amplitude temporaries."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     peaks = []
     for quad, grid in (("32x64", "19x36"), ("256x512", "361x720")):
-        args = ["--out", str(tmp_path / quad), "--quad", quad, "irp", "--grid", grid]
-        done = subprocess.run([sys.executable, "-c", PEAK_RSS, *args], env=env, capture_output=True, text=True, check=True)
+        done = fresh_python(PEAK_RSS, "--out", str(tmp_path / quad), "--quad", quad, "irp", "--grid", grid)
+        assert done.returncode == 0, done.stderr
         code, peak_kb = map(int, done.stdout.split())
         assert code == 0, done.stderr
         peaks.append(peak_kb / 1024.0)
@@ -483,14 +487,14 @@ ROUND_TRIP = {
 
 @pytest.mark.parametrize("case", sorted(ROUND_TRIP))
 def test_config_file_round_trip(tmp_path, case):
-    """The echoed config passes the typed schema and, given as --config with
+    """The echoed config passes the config check and, given as --config with
     no flags, reproduces every artifact (the echo included) byte for byte."""
     args = ROUND_TRIP[case]
     command = next(a for a in args if a in OPTIONS)
     first, second = tmp_path / "first", tmp_path / "second"
     assert main(["--out", str(first), *args]) == 0
     echo = first / f"{command}_config.json"
-    jsonschema.validate(json.loads(echo.read_text()), config_schema())
+    cli.load_config(echo)
     assert main(["--config", str(echo), "--out", str(second), command]) == 0
     assert sorted(os.listdir(first)) == sorted(os.listdir(second))
     for name in os.listdir(first):
@@ -552,3 +556,100 @@ def test_derived_report_in_outputs(tmp_path):
     assert code == 0
     meta = json.loads((out / "recoil_params.json").read_text())
     assert meta["derived"]["motion_modes"]["z"]["bare_recoil_rad_s"] > 0
+
+
+LASER = {"power": 0.5, "waist": 0.7e-6, "wavelength": 1.064e-6}
+PARTICLE = {"radius": 70e-9, "density": 2200.0, "permittivity": 2.1}
+ROTOR = {"alpha_parallel": 6.0e-33, "alpha_perp": 4.0e-33, "moment_of_inertia": 1.0e-31, "permittivity": 2.1, "volume": 2.0e-21}
+
+
+@pytest.mark.parametrize(
+    "config, accepted",
+    [
+        ([], False),
+        ({"recoil": None}, False),
+        ({"recoi": {}}, False),
+        ({"recoil": {"threads": 2}}, False),
+        ({"recoil": {"db": 15}}, True),
+        ({"sensitivity": {"xi": 1}}, True),
+        ({"optimize": {"budget": 20.0}}, True),
+        ({"recoil": {"quad": "16x32", "seed": 3}}, True),
+        ({"recoil": {"db": True}}, False),
+        ({"sensitivity": {"xi": "0.5"}}, False),
+        ({"sensitivity": {"xi": True}}, False),
+        ({"optimize": {"budget": 20.5}}, False),
+        ({"optimize": {"budget": -1}}, False),
+        ({"optimize": {"budget": True}}, False),
+        ({"recoil": {"perfect_overlap": 1}}, False),
+        ({"recoil": {"beams": "na=0.5"}}, False),
+        ({"recoil": {"beams": [1]}}, False),
+        ({"laser": LASER, "particle": PARTICLE, "rotor": ROTOR}, True),
+        ({"laser": {"power": 0.5, "waist": 0.7e-6}}, False),
+        ({"laser": {**LASER, "color": 1.0}}, False),
+        ({"laser": {**LASER, "power": "1"}}, False),
+        ({"laser": {**LASER, "power": True}}, False),
+        ({"laser": {**LASER, "power": 0}}, False),
+        ({"rotor": {**ROTOR, "permittivity": 1}}, False),
+        # the Rotor bound holds without a laser section too
+        ({"rotor": {**ROTOR, "alpha_perp": 7.0e-33}}, False),
+    ],
+)
+def test_config_file_checked_by_option_table_and_physics(tmp_path, config, accepted):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out), "recoil", "--db", "0"]) == (0 if accepted else 2)
+    assert out.exists() == accepted
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "1e400"])
+@pytest.mark.parametrize("section, field", [("laser", "power"), ("particle", "density"), ("rotor", "moment_of_inertia")])
+def test_nonfinite_physics_input_exits_2(tmp_path, capsys, section, field, value):
+    config = {"laser": LASER, "particle": PARTICLE, "rotor": ROTOR}
+    config[section] = {**config[section], field: "NONFINITE"}
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(config).replace('"NONFINITE"', value))
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out), "recoil", "--db", "15"]) == 2
+    assert f"config field {section}: {field} must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("first, second, label", [("-z", "-z", "na0.7_-z"), ("z", "+z", "na0.7_z")])
+def test_repeated_beam_column_exits_2(tmp_path, capsys, first, second, label):
+    beams = ["--beam", f"na=0.7,axis={first}", "--beam", f"na=0.7,axis={second},pol=pi/2"]
+    assert run(tmp_path, "recoil", "--db", "15", "--phase", "0", *beams) == 2
+    assert f"beam {label!r} is given twice" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_physics_sections_echoed_as_given(tmp_path):
+    # the echo holds each physics section as the file gave it, ints included,
+    # and a rerun from the echo reproduces every artifact byte for byte
+    config = {"laser": {**LASER, "power": 1}, "particle": PARTICLE, "rotor": ROTOR}
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(config))
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["--config", str(path), "--out", str(first), "recoil", "--db", "15"]) == 0
+    echo = first / "recoil_config.json"
+    assert {k: v for k, v in json.loads(echo.read_text()).items() if k != "recoil"} == config
+    assert main(["--config", str(echo), "--out", str(second), "recoil"]) == 0
+    for name in os.listdir(first):
+        assert filecmp.cmp(first / name, second / name, shallow=False), name
+
+
+def test_config_file_needs_no_jsonschema(tmp_path):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"laser": LASER, "particle": PARTICLE}))
+    out = tmp_path / "out"
+    proc = fresh_python(
+        "import sys; sys.modules['jsonschema'] = None\n"
+        "from levsqueeze.cli import main\n"
+        "code = main(['--config', sys.argv[1], '--out', sys.argv[2], '--seed', '3', 'recoil', '--db', '15'])\n"
+        "print(code, sorted(k for k, m in sys.modules.items() if k.startswith('jsonschema') and m is not None))",
+        str(config),
+        str(out),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "[]"]
+    assert "motion_modes" in json.loads((out / "recoil_params.json").read_text())["derived"]

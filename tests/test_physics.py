@@ -13,6 +13,24 @@ def test_particle_validation():
         physics.Particle(radius=70e-9, density=2200.0, permittivity=0.9)
 
 
+@pytest.mark.parametrize("inputs", ["laser", "particle", "rotor"])
+@pytest.mark.parametrize(
+    "value",
+    [np.nan, np.inf, -np.inf, 10**400, "1", True, None],
+    ids=["nan", "inf", "-inf", "int1e400", "str", "true", "none"],
+)
+def test_physics_inputs_reject_non_numbers(request, inputs, value):
+    valid = request.getfixturevalue(inputs)
+    field = next(iter(vars(valid)))
+    with pytest.raises(ConfigError, match=f"{field} must be a finite number"):
+        type(valid)(**{**vars(valid), field: value})
+
+
+def test_rotor_permittivity_exceeds_one(rotor):
+    with pytest.raises(ConfigError):
+        physics.Rotor(**{**vars(rotor), "permittivity": 1.0})
+
+
 def test_alpha0_linearity(laser):
     doubled = physics.Laser(
         power=2 * laser.power, waist=laser.waist, wavelength=laser.wavelength

@@ -66,41 +66,6 @@ def test_ratio_linear_in_overlap_squared():
     assert slope12 == pytest.approx(slope23, rel=1e-12)
 
 
-def test_cross_rate_diagonal_identity(rng):
-    for _ in range(200):
-        r = rng.uniform(0, 3)
-        phi = rng.uniform(0, 2 * np.pi)
-        psi = rng.uniform(0, 2 * np.pi)
-        m = rng.uniform(0, 1)
-        xi = squeeze.OverlapResult(xi=m * np.exp(1j * psi))
-        sq = squeeze.SqueezeParams(r_s=r, phi_s=phi)
-        g0 = 123.4
-        diag = squeeze.cross_rate(xi, xi, g0, g0, sq, diagonal=True)
-        expected = g0 * squeeze.recoil_ratio(xi, sq)
-        assert diag == pytest.approx(expected, rel=1e-12, abs=1e-12 * g0)
-
-
-def test_cross_rate_diagonal_exact_at_high_squeezing():
-    # |xi| = 1 at phase 0: the diagonal rate is the squeezed floor Gamma0 e^{-2r}
-    g0 = 123.4
-    for db in range(0, 81, 5):
-        sq = squeeze.SqueezeParams(r_s=squeeze.db_to_r(db), phi_s=0.0)
-        diag = squeeze.cross_rate(PERFECT, PERFECT, g0, g0, sq, diagonal=True)
-        assert diag == pytest.approx(g0 * squeeze.recoil_ratio(PERFECT, sq), rel=1e-12, abs=0.0)
-        assert diag == pytest.approx(g0 * math.exp(-2.0 * sq.r_s), rel=1e-12, abs=0.0)
-
-
-def test_cross_rate_trivial_cases():
-    xi = squeeze.OverlapResult(xi=0.7 * np.exp(0.3j))
-    none = squeeze.OverlapResult(xi=0.0j)
-    vac = squeeze.SqueezeParams(r_s=0.0, phi_s=1.0)
-    assert squeeze.cross_rate(xi, xi, 1.0, 2.0, vac) == 0.0
-    sq = squeeze.SqueezeParams(r_s=1.5, phi_s=1.0)
-    assert squeeze.cross_rate(xi, none, 1.0, 2.0, sq) == 0.0
-    with pytest.raises(ConfigError):
-        squeeze.cross_rate(xi, xi, -1.0, 1.0, sq)
-
-
 def test_overlap_modulus_bound():
     with pytest.raises(ConfigError):
         squeeze.OverlapResult(xi=1.1 + 0.0j)
