@@ -136,6 +136,26 @@ def test_optimize_rejects_repeated_names_and_bounds(tmp_path, capsys, args, name
     assert os.listdir(tmp_path) == []
 
 
+SEARCH = ["--free", "na=0.3:0.9", "--fixed", "phi=0"]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["recoil", "--kind", "libration", "--axis", "x", "--perfect-overlap"], "libration axis must be y or z"),
+        (["irp", "--kind", "breathing"], "mode kind must be motion or libration"),
+        (["optimize", "--kind", "libration", "--axis", "x", *SEARCH], "libration axis must be y or z"),
+        (["optimize", "--kind", "breathing", *SEARCH], "mode kind must be motion or libration"),
+        (["wigner", "--source", "nope"], "wigner source must be bare or input"),
+    ],
+)
+def test_bad_mode_or_source_exits_2(tmp_path, capsys, args, message):
+    # a recoil table of the |xi| = 1 column alone still checks the mode
+    assert run(tmp_path, *args) == 2
+    assert message in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 def test_optimize_ignores_the_seed(tmp_path):
     args = ["optimize", "--free", "na=0.3:0.9", "--free", "polarization_angle=0:pi", "--db", "9", "--budget", "30"]
     for seed in ("1", "2"):
