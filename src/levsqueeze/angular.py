@@ -197,16 +197,17 @@ def _transverse(vector, k):
     return v[:, None] - (v @ k) * k
 
 
-def _motion_prefactor(axis):
-    if axis not in MOTION_GEOMETRY_FACTORS:
-        raise ConfigError(f"motion axis must be one of x, y, z, got {axis!r}")
-    return 1j * np.sqrt(3.0 / (8.0 * np.pi * MOTION_GEOMETRY_FACTORS[axis]))
-
-
-def _libration_prefactor(axis):
-    if axis not in ("y", "z"):
-        raise ConfigError(f"libration axis must be y or z, got {axis!r}")
-    return -np.sqrt(3.0 / (8.0 * np.pi))
+def _prefactor(kind, axis):
+    """Prefactor C of the pattern of mode `kind` along or about `axis`; checks both."""
+    if kind == "motion":
+        if axis not in MOTION_GEOMETRY_FACTORS:
+            raise ConfigError(f"motion axis must be one of x, y, z, got {axis!r}")
+        return 1j * np.sqrt(3.0 / (8.0 * np.pi * MOTION_GEOMETRY_FACTORS[axis]))
+    if kind == "libration":
+        if axis not in ("y", "z"):
+            raise ConfigError(f"libration axis must be y or z, got {axis!r}")
+        return -np.sqrt(3.0 / (8.0 * np.pi))
+    raise ConfigError(f"mode kind must be motion or libration, got {kind!r}")
 
 
 def make_motion_distribution(axis):
@@ -215,7 +216,7 @@ def make_motion_distribution(axis):
     i * sqrt(3 / (8 pi l)) * [e_x - (e_x . k) k] * [(k - e_z) . e_axis],
     with the geometry factor l = (1, 2, 7) . e_axis / 5.
     """
-    prefactor = _motion_prefactor(axis)
+    prefactor = _prefactor("motion", axis)
     e_mu = AXES[axis]
 
     def func(k):
@@ -227,7 +228,7 @@ def make_motion_distribution(axis):
 def make_libration_distribution(axis):
     """Dipole coupling pattern of libration about the y or z axis:
     -sqrt(3 / (8 pi)) * [e_axis - (e_axis . k) k]."""
-    prefactor = _libration_prefactor(axis)
+    prefactor = _prefactor("libration", axis)
     e_mu = AXES[axis]
 
     def func(k):
@@ -239,11 +240,8 @@ def make_libration_distribution(axis):
 def make_mode(kind, axis):
     """Coupling pattern of a mechanical mode: `motion` along, or `libration`
     about, the Cartesian `axis`."""
-    if kind == "motion":
-        return make_motion_distribution(axis)
-    if kind == "libration":
-        return make_libration_distribution(axis)
-    raise ConfigError(f"mode kind must be motion or libration, got {kind!r}")
+    _prefactor(kind, axis)
+    return (make_motion_distribution if kind == "motion" else make_libration_distribution)(axis)
 
 
 def beam_frame(axis):
@@ -382,12 +380,7 @@ def overlap_form(kind, mode_axis, na, axis=(0.0, 0.0, -1.0)):
     N^-1 = sqrt((G0 + G2) / 2) from the moments G of env^2, the envelope
     at NA / sqrt(2) (_beam_norm).
     """
-    if kind == "motion":
-        prefactor = _motion_prefactor(mode_axis)
-    elif kind == "libration":
-        prefactor = _libration_prefactor(mode_axis)
-    else:
-        raise ConfigError(f"mode kind must be motion or libration, got {kind!r}")
+    prefactor = _prefactor(kind, mode_axis)
     mu = "xyz".index(mode_axis)
     n = _beam_axis(na, axis)
     moments = envelope_moments(na)

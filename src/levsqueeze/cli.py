@@ -20,6 +20,7 @@ import math
 import os
 import re
 import sys
+import warnings
 from dataclasses import fields
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -266,9 +267,13 @@ def load_config(path):
             names = [field.name for field in fields(inputs)]
             _check_section(name, section, names, required=names)
             try:
-                config[name] = inputs(**section)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    config[name] = inputs(**section)
             except ConfigError as exc:
                 raise ConfigError(f"config field {name}: {exc}") from None
+            for warning in caught:
+                click.echo(f"warning: config field {name}: {warning.message}", err=True)
         else:
             defaults = {o.name: o.default for o in COMMON + OPTIONS[name]}
             _check_section(name, section, defaults)
@@ -389,12 +394,12 @@ def recoil(run, opt):
     header[0] = "r_db"
     for row, dbv in zip(rows, db_values):
         row[0] = dbv
+    derived = run.derived_report()
     write_csv(run.path("recoil.csv"), header, rows)
 
     meta = {"overlaps": {k: {"re": xi.real, "im": xi.imag, "modulus": abs(xi)} for k, xi in overlaps.items()}}
     for column, error in errors.items():
         meta["overlaps"][column]["quadrature_error"] = _flag_unresolved(error, column)
-    derived = run.derived_report()
     if derived is not None:
         meta["derived"] = derived
     write_json(run.path("recoil_params.json"), meta)
@@ -405,13 +410,11 @@ def irp(run, opt):
     """Differential cross section and information radiation pattern."""
     params = parse_beam_spec(opt.beam)
     label = params.pop("label")
-    mode = make_mode(opt.kind, opt.axis)
-    beam = make_beam(**params)
-    xi = squeeze.beam_overlap(opt.kind, opt.axis, params)
-    error = _flag_unresolved(squeeze.quadrature_error(xi, beam, mode, run.rule), label)
+    xi, error = squeeze.checked_overlap(opt.kind, opt.axis, params, run.rule)
+    _flag_unresolved(error, label)
     cfg = scatter.ScatterConfig(
-        mode=mode,
-        beam=beam,
+        mode=make_mode(opt.kind, opt.axis),
+        beam=make_beam(**params),
         sq=squeeze.SqueezeParams(
             r_s=squeeze.db_to_r(parse_number(opt.db, "db")), phi_s=parse_number(opt.phase, "phase")
         ),
@@ -519,12 +522,7 @@ def wigner(run, opt):
     _check_modulus(opt.xi)
     r_s = squeeze.db_to_r(parse_number(opt.db, "db"))
     phi = parse_number(opt.phase, "phase")
-    if opt.source == "bare":
-        cov, det = detect.wigner_covariance("bare-squeezed-mode", r=r_s, phi=phi)
-    elif opt.source == "input":
-        cov, det = detect.wigner_covariance("interacting-input", r=r_s, phi=phi, xi=opt.xi)
-    else:
-        raise ConfigError(f"wigner source must be bare or input, got {opt.source!r}")
+    cov, det = detect.wigner_covariance(opt.source, r=r_s, phi=phi, xi=opt.xi)
     x, y, w = detect.wigner_grid(cov, det, n=opt.grid_n)
     xx, yy = np.meshgrid(x, y, indexing="ij")
     write_csv(run.path("wigner.csv"), ["x", "y", "w"], np.column_stack([xx.ravel(), yy.ravel(), w.ravel()]))

@@ -1,7 +1,7 @@
-"""Detection noise: back-action and correlation spectra, minimum
-detectable displacement signal relative to the standard quantum limit, and
-Gaussian Wigner-function data for the input light. The input spectra they
-read come from squeeze.input_spectra.
+"""Detection noise: the minimum detectable displacement signal relative to
+the standard quantum limit, which trades imprecision against back-action,
+and Gaussian Wigner-function data for the input light. The input spectra
+they read come from squeeze.input_spectra.
 
 Convention: every spectral density in this module is stored pre-multiplied
 by 2 pi, so the vacuum level is exactly 1 and dimensionless formulas carry
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalFailure
-from .squeeze import InputSpectra, OverlapResult, SqueezeParams, input_spectra, pure_spectra, spectra_determinant
+from .squeeze import InputSpectra, OverlapResult, SqueezeParams, input_spectra
 
 # "omega << Omega" idealization: |Re chi/chi| differs from 1 by < 1e-6 here
 LOW_FREQ_OMEGA_RATIO = 1e-3
@@ -111,30 +111,6 @@ def s_min_opt_u_phase(xi_modulus: float, r_s: float, chi: Susceptibility):
     return phi_opt, value
 
 
-def backaction_psd(zero_point: float, bare_recoil: float, spectra: InputSpectra, chi: Susceptibility) -> float:
-    """Back-action displacement spectrum (times 2 pi), m^2 s/rad.
-
-    r0^2 Gamma0 sxx |2 chi_tilde / Omega|^2: motional disturbance driven by
-    the amplitude quadrature of the input.
-    """
-    if chi.damping == 0:
-        raise NumericalFailure("back-action spectrum requires damping > 0")
-    response = 2.0 * chi.chi_tilde / chi.mode_frequency
-    return zero_point**2 * bare_recoil * spectra.sxx * abs(response) ** 2
-
-
-def correlation_psd(zero_point: float, bare_recoil: float, spectra: InputSpectra, chi: Susceptibility) -> float:
-    """Amplitude-phase correlation spectrum (times 2 pi).
-
-    Proportional to Re(chi) and to the cross input spectrum; vanishes at
-    resonance and for phase offsets 0 or pi.
-    """
-    if chi.damping == 0:
-        raise NumericalFailure("correlation spectrum requires damping > 0")
-    response = 2.0 * chi.chi_tilde / chi.mode_frequency
-    return zero_point * math.sqrt(bare_recoil) * response.real * spectra.scross
-
-
 def sensitivity_curve(spectra: InputSpectra, chi: Susceptibility, u_values):
     """s_min over a grid of measurement strengths; rows (u, value)."""
     return [[float(u), s_min(spectra, chi, float(u))] for u in np.atleast_1d(u_values)]
@@ -153,43 +129,28 @@ def sensitivity_heatmap(e2r_values, xi2_values, chi: Susceptibility):
     return ["e2r", "xi_squared", "s_min_over_sql"], rows
 
 
-def bare_mode_covariance(r: float, phi: float) -> np.ndarray:
-    """Covariance of the bare squeezed mode (vacuum = identity, det = 1):
-    the |xi| = 1 input spectra at offset phi, quadratures swapped."""
-    s = pure_spectra(r, phi)
-    return np.array([[s.syy, s.scross], [s.scross, s.sxx]])
-
-
-def interacting_input_covariance(spectra: InputSpectra) -> np.ndarray:
-    """Covariance of the interacting input mode from its spectra."""
-    return np.array(
-        [[spectra.sxx, -spectra.scross], [-spectra.scross, spectra.syy]]
-    )
-
-
 def wigner_covariance(source: str, *, r: float, phi: float, xi: complex = 1.0):
     """Covariance matrix of the requested Gaussian state and its determinant.
 
-    source "interacting-input" is the input mode of overlap xi at offset
-    phi; "bare-squeezed-mode" is the squeezed mode itself (|xi| = 1) at
-    phase phi. The determinant is the closed form spectra_determinant,
-    exactly 1 for the bare mode. Raises on a non-positive-definite result,
-    which would signal a convention bug rather than a physical regime.
+    source "input" is the interacting input mode of overlap xi at offset
+    phi, [[sxx, -scross], [-scross, syy]] of its spectra; "bare" is the
+    squeezed mode itself at phase phi, the |xi| = 1 spectra with the
+    quadratures swapped (vacuum = identity). The determinant is the closed
+    form of the spectra, exactly 1 for the bare mode. Raises on a
+    non-positive-definite result, which would signal a convention bug
+    rather than a physical regime.
     """
-    if source == "interacting-input":
-        overlap = OverlapResult(xi=xi)
-        cov = interacting_input_covariance(
-            input_spectra(overlap, SqueezeParams(r_s=r, phi_s=phi), absolute_phase=False)
-        )
-    elif source == "bare-squeezed-mode":
-        overlap = OverlapResult(xi=1.0)
-        cov = bare_mode_covariance(r, phi)
+    if source not in ("bare", "input"):
+        raise ConfigError(f"wigner source must be bare or input, got {source!r}")
+    overlap = OverlapResult(xi=xi if source == "input" else 1.0)
+    s = input_spectra(overlap, SqueezeParams(r_s=r, phi_s=phi), absolute_phase=False)
+    if source == "input":
+        cov = np.array([[s.sxx, -s.scross], [-s.scross, s.syy]])
     else:
-        raise ConfigError(f"unknown Wigner source {source!r}")
-    det = spectra_determinant(overlap, r)
-    if det <= 0 or cov[0, 0] <= 0:
+        cov = np.array([[s.syy, s.scross], [s.scross, s.sxx]])
+    if s.determinant <= 0 or cov[0, 0] <= 0:
         raise NumericalFailure("covariance matrix is not positive definite")
-    return cov, det
+    return cov, s.determinant
 
 
 def wigner_grid(cov: np.ndarray, det: float, n: int = 201, half_width_sigmas: float = 8.0):

@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angular import DEFAULT_RULE, QuadratureRule, form_overlap, make_beam, make_mode, overlap_form
+from .angular import DEFAULT_RULE, QuadratureRule, form_overlap, overlap_form
 from .detect import low_frequency_susceptibility, s_min_opt_u
 from .errors import ConfigError
-from .squeeze import OverlapResult, SqueezeParams, beam_overlap, input_spectra, quadrature_error, recoil_ratio
+from .squeeze import OverlapResult, SqueezeParams, checked_overlap, input_spectra, recoil_ratio
 
 OUTER_PARAMETERS = ("na", "axis_theta", "axis_phi")
 SEARCHABLE_PARAMETERS = OUTER_PARAMETERS + ("polarization_angle", "weight")
@@ -233,9 +233,7 @@ def optimize(problem: OptimizationProblem, budget: int = 200) -> OptimizationRes
         grids = [_zoom(best[n], w, *b) for n, w, b in zip(evaluator.outer, width, bounds)]
 
     params, best = evaluator.best
-    xi = beam_overlap(problem.mode_kind, problem.mode_axis, evaluator.beam(params))
-    beam, mode = make_beam(**evaluator.beam(params)), make_mode(problem.mode_kind, problem.mode_axis)
-    error = quadrature_error(xi, beam, mode, problem.rule)
+    xi, error = checked_overlap(problem.mode_kind, problem.mode_axis, evaluator.beam(params), problem.rule)
     return OptimizationResult(
         best_params={n: float(params[n]) for n in problem.names},
         best_value=best,

@@ -14,7 +14,7 @@ import numpy as np
 
 from .angular import MOTION_GEOMETRY_FACTORS
 from .constants import C, EPS0, HBAR
-from .errors import ConfigError
+from .errors import ConfigError, NumericalFailure
 
 DEFAULT_DAMPING_RATIO = 1e-6  # gamma_mu / Omega_mu unless specified
 
@@ -237,7 +237,25 @@ def derive_libration_modes(rotor: Rotor, laser: Laser, damping_ratio=DEFAULT_DAM
 
 
 def derived_report(laser: Laser, particle: Particle = None, rotor: Rotor = None):
-    """JSON-ready dictionary echoing every derived intermediate quantity."""
+    """JSON-ready dictionary echoing every derived intermediate quantity;
+    NumericalFailure if extreme inputs take one to zero or out of range."""
+    try:
+        return _checked(_derived_quantities(laser, particle, rotor))
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise NumericalFailure(f"a derived trap quantity is out of floating-point range ({exc})") from None
+
+
+def _checked(report, prefix=""):
+    """The nested `report`, once every number in it is finite and nonzero."""
+    for key, value in report.items():
+        if isinstance(value, dict):
+            _checked(value, f"{prefix}{key}.")
+        elif value == 0.0 or not math.isfinite(value):
+            raise NumericalFailure(f"derived quantity {prefix}{key} is {value:g}, out of floating-point range")
+    return report
+
+
+def _derived_quantities(laser, particle, rotor):
     report = {
         "laser": {
             "power_W": laser.power,

@@ -3,7 +3,8 @@ radiation patterns (IRPs) for a mechanical mode illuminated by squeezed
 light.
 
 Amplitudes are first-order in the mechanical zero-point motion. The cross
-section is reported as a dimensionless shape factor, in units of
+section, wherever it is used the component sum of |f_plus|^2 minus that of
+|f_minus|^2, is reported as a dimensionless shape factor, in units of
 (2 pi)^3 |alpha0|^2 Gamma0 / c.
 """
 
@@ -26,7 +27,7 @@ class ScatterConfig:
     absolute_phase is True, otherwise the offset phi_s - 2 arg(xi).
     The beam is square-normalized, as every built-in distribution is. xi
     is its overlap with the mode: given (e.g. the exact
-    squeeze.beam_overlap of a Gaussian beam), or integrated on `rule` by
+    squeeze.checked_overlap of a Gaussian beam), or integrated on `rule` by
     mode_overlap. `rule` also integrates the total cross section.
     """
 
@@ -74,25 +75,24 @@ def scattering_amplitudes(cfg: ScatterConfig, k):
     return f_plus, f_minus
 
 
+def _polarization_sums(cfg: ScatterConfig, k):
+    """Component sums of |f_plus|^2 and of |f_minus|^2 at the unit vectors k."""
+    f_plus, f_minus = scattering_amplitudes(cfg, k)
+    return np.sum(np.abs(f_plus) ** 2, axis=0), np.sum(np.abs(f_minus) ** 2, axis=0)
+
+
 def differential_cross_section(cfg: ScatterConfig, k):
     """Polarization-summed d sigma / d Omega at the unit vectors k.
 
     Pointwise values may be negative for strong squeezing; only the
     integral is guaranteed positive. Values are reported unclipped.
     """
-    f_plus, f_minus = scattering_amplitudes(cfg, k)
-    return np.sum(np.abs(f_plus) ** 2 - np.abs(f_minus) ** 2, axis=0)
+    return np.subtract(*_polarization_sums(cfg, k))
 
 
 def integrated_cross_section(cfg: ScatterConfig):
-    """Quadrature integral of d sigma / d Omega over the full sphere."""
-
-    def integrand(k):
-        f_plus, f_minus = scattering_amplitudes(cfg, k)
-        return np.abs(f_plus) ** 2 - np.abs(f_minus) ** 2
-
-    axis = cfg.beam.support_axis
-    return float(integrate_sphere(integrand, cfg.rule, axis=axis).real)
+    """Integral of d sigma / d Omega over the sphere, on cfg.rule about the beam axis."""
+    return float(integrate_sphere(lambda k: [differential_cross_section(cfg, k)], cfg.rule, cfg.beam.support_axis))
 
 
 # Columns of IRPGrid.table, in the order irp.csv writes them.
@@ -146,9 +146,7 @@ def irp_grid(cfg: ScatterConfig, n_theta=181, n_phi=360) -> IRPGrid:
     for start in range(0, n_theta, rows):
         block = slice(start, start + rows)
         k = spherical_basis(tt[block].ravel(), pp[block].ravel())[0]
-        f_plus, f_minus = scattering_amplitudes(cfg, k)
-        fp2[block] = np.sum(np.abs(f_plus) ** 2, axis=0).reshape(-1, n_phi)
-        fm2[block] = np.sum(np.abs(f_minus) ** 2, axis=0).reshape(-1, n_phi)
+        fp2[block], fm2[block] = (sums.reshape(-1, n_phi) for sums in _polarization_sums(cfg, k))
         np.subtract(fp2[block], fm2[block], out=dsigma[block])
         np.divide(dsigma[block], total, out=irp[block])
 

@@ -1,9 +1,10 @@
 """Squeezing-modified recoil heating and the input spectra behind it.
 
-The central object is the overlap xi between the squeezed beam profile and
-the angular pattern of a mechanical mode. Everything downstream is one
-Gaussian closed form in (|xi|^2, r, Phi), input_spectra: the recoil ratio
-is its sxx, and detection and the Wigner data read all three spectra.
+The central object is the overlap xi of the squeezed beam profile with a
+mechanical mode's pattern: checked_overlap gives it exactly for a Gaussian
+beam, with its quadrature error. Everything downstream is input_spectra, one
+closed form in (|xi|^2, r, Phi): the recoil ratio is its sxx, and detection
+and the Wigner data read all three spectra.
 """
 
 from __future__ import annotations
@@ -81,19 +82,11 @@ def mode_overlap(beam: AngularDistribution, mode: AngularDistribution, rule=DEFA
     return _bounded(overlap(beam, mode, rule))
 
 
-def beam_overlap(kind: str, axis: str, beam: dict) -> OverlapResult:
-    """Exact overlap of the make_beam beam of parameters `beam` (na, axis,
-    polarization_angle, weight) with the pattern of mode `kind` along or
-    about `axis`."""
-    return _bounded(gaussian_overlap(kind, axis, **beam))
-
-
-def quadrature_error(
-    xi: OverlapResult, beam: AngularDistribution, mode: AngularDistribution, rule: QuadratureRule
-) -> float:
-    """|xi - mode_overlap(beam, mode, rule)|: how far the overlap integrated
-    on `rule` is from the exact overlap xi."""
-    return abs(xi.xi - mode_overlap(beam, mode, rule).xi)
+def checked_overlap(kind: str, axis: str, beam: dict, rule: QuadratureRule) -> tuple[OverlapResult, float]:
+    """The exact overlap xi of make_beam(**beam) with make_mode(kind, axis),
+    and its quadrature error: the distance of their mode_overlap on `rule`."""
+    xi = _bounded(gaussian_overlap(kind, axis, **beam))
+    return xi, abs(xi.xi - mode_overlap(make_beam(**beam), make_mode(kind, axis), rule).xi)
 
 
 def relative_phase(xi: OverlapResult, sq: SqueezeParams, absolute_phase=True) -> float:
@@ -196,22 +189,18 @@ def recoil_sweep(
     beams maps column label -> make_beam parameter dict (na, axis,
     polarization_angle, weight). phi is the phase offset
     Phi = phi_s - 2 psi by default (absolute_phase=False). Each beam's
-    overlap is exact (beam_overlap); its quadrature_error on `rule` is
-    reported beside it. Returns (header, rows, overlaps, errors), the last
+    overlap is exact, with its quadrature error on `rule` reported beside
+    it (checked_overlap). Returns (header, rows, overlaps, errors), the last
     two keyed by column.
     """
-    mode = make_mode(kind, axis)
+    make_mode(kind, axis)  # checks the mode, which the |xi| = 1 column alone does not read
     columns = []
-    overlaps = {}
     errors = {}
     if include_perfect:
         columns.append(("ratio_perfect", OverlapResult(xi=1.0 + 0.0j)))
-        overlaps["ratio_perfect"] = 1.0 + 0.0j
     for label, params in (beams or {}).items():
-        res = beam_overlap(kind, axis, params)
+        res, errors[f"ratio_{label}"] = checked_overlap(kind, axis, params, rule)
         columns.append((f"ratio_{label}", res))
-        overlaps[f"ratio_{label}"] = res.xi
-        errors[f"ratio_{label}"] = quadrature_error(res, make_beam(**params), mode, rule)
 
     header = ["r_s"] + [name for name, _ in columns]
     rows = []
@@ -221,4 +210,4 @@ def recoil_sweep(
         for _, res in columns:
             row.append(recoil_ratio(res, sq, absolute_phase=absolute_phase))
         rows.append(row)
-    return header, rows, overlaps, errors
+    return header, rows, {name: res.xi for name, res in columns}, errors

@@ -584,6 +584,42 @@ ROTOR = {"alpha_parallel": 6.0e-33, "alpha_perp": 4.0e-33, "moment_of_inertia": 
 
 
 @pytest.mark.parametrize(
+    "laser, named",
+    [
+        # waist**4 underflows to 0 and divides
+        ({"power": 1e300, "waist": 1e-300, "wavelength": 1e-300}, "out of floating-point range"),
+        ({**LASER, "wavelength": 1e-300}, "laser.omega0_rad_s is inf, out of floating-point range"),
+        ({**LASER, "power": 5e-324}, "motion_modes.x.bare_recoil_rad_s is 0, out of floating-point range"),
+        ({**LASER, "waist": 1e200, "wavelength": 1e200}, "out of floating-point range"),
+    ],
+)
+def test_extreme_physics_inputs_exit_3_before_any_file(tmp_path, laser, named):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"laser": laser, "particle": PARTICLE, "rotor": ROTOR}))
+    out = tmp_path / "out"
+    proc = fresh_python(
+        "import sys\nfrom levsqueeze.cli import main\n"
+        "sys.exit(main(['--config', sys.argv[1], '--out', sys.argv[2], 'recoil', '--db', '15']))",
+        str(config),
+        str(out),
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("numerical failure: ") and named in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_paraxial_warning_names_the_laser_section_once(tmp_path, capsys):
+    # once per run, also in a second run of the same process
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"laser": {**LASER, "waist": 4e-7}, "particle": PARTICLE}))
+    warning = "warning: config field laser: waist below wavelength/2: paraxial trap-frequency formulas are unreliable here\n"
+    for out in ("first", "second"):
+        assert main(["--config", str(config), "--out", str(tmp_path / out), "recoil", "--db", "15"]) == 0
+        assert capsys.readouterr().err == warning
+
+
+@pytest.mark.parametrize(
     "config, accepted",
     [
         ([], False),

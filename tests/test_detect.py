@@ -141,52 +141,25 @@ def test_s_min_convex_in_log_u(rng):
         assert (second > -1e-12).all()
 
 
-def test_backaction_psd():
-    s = spectra_for(0.9, 1.0, 0.7)
-    chi0 = chi_at(1e-9, gamma=1e-4)
-    chi_res = chi_at(1.0, gamma=1e-4)
-    low = detect.backaction_psd(1e-9, 100.0, s, chi0)
-    res = detect.backaction_psd(1e-9, 100.0, s, chi_res)
-    assert low / res == pytest.approx(1e-8, rel=1e-3)  # (gamma/Omega)^2
-    doubled = squeeze.InputSpectra(sxx=2 * s.sxx, syy=2 * s.syy, scross=2 * s.scross)
-    assert detect.backaction_psd(1e-9, 100.0, doubled, chi0) == pytest.approx(
-        2 * low, rel=1e-12
-    )
-    far = detect.backaction_psd(1e-9, 100.0, s, chi_at(100.0, gamma=1e-4))
-    assert far < 1e-7 * res
-
-
-def test_correlation_psd():
-    chi = chi_at(0.5, gamma=1e-4)
-    aligned = spectra_for(0.9, 1.0, 0.0)
-    assert detect.correlation_psd(1e-9, 100.0, aligned, chi) == 0.0
-    tilted = spectra_for(0.9, 1.0, 0.7)
-    at_res = detect.correlation_psd(1e-9, 100.0, tilted, chi_at(1.0, gamma=1e-4))
-    assert at_res == pytest.approx(0.0, abs=1e-18)
-    below = detect.correlation_psd(1e-9, 100.0, tilted, chi_at(0.5, gamma=1e-4))
-    above = detect.correlation_psd(1e-9, 100.0, tilted, chi_at(1.5, gamma=1e-4))
-    assert below * above < 0.0
-
-
 def test_wigner_covariances():
-    vac, det = detect.wigner_covariance("bare-squeezed-mode", r=0.0, phi=0.0)
+    vac, det = detect.wigner_covariance("bare", r=0.0, phi=0.0)
     assert np.allclose(vac, np.eye(2)) and det == 1.0
-    sq0 = detect.bare_mode_covariance(1.2, 0.0)
+    sq0, _ = detect.wigner_covariance("bare", r=1.2, phi=0.0)
     assert sq0[0, 0] == pytest.approx(math.exp(2.4), rel=1e-12)
     assert sq0[1, 1] == pytest.approx(math.exp(-2.4), rel=1e-12)
     for r, phi in [(0.5, 0.3), (2.0, 4.0), (1.0, np.pi)]:
-        cov = detect.bare_mode_covariance(r, phi)
+        cov, _ = detect.wigner_covariance("bare", r=r, phi=phi)
         assert np.linalg.det(cov) == pytest.approx(1.0, rel=1e-12)
     s = spectra_for(0.8, 1.0, 1.1)
-    cov, det = detect.wigner_covariance("interacting-input", r=1.0, phi=1.1, xi=0.8)
+    cov, det = detect.wigner_covariance("input", r=1.0, phi=1.1, xi=0.8)
     assert cov[0, 0] == s.sxx and cov[1, 1] == s.syy and cov[0, 1] == -s.scross
     assert det == pytest.approx(s.uncertainty_determinant, rel=1e-12)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="wigner source must be bare or input"):
         detect.wigner_covariance("nope", r=1.0, phi=0.0)
 
 
 def test_wigner_grid_normalization():
-    cov = detect.bare_mode_covariance(1.0, 0.7)
+    cov, _ = detect.wigner_covariance("bare", r=1.0, phi=0.7)
     x, y, w = detect.wigner_grid(cov, 1.0, n=401)
     dx, dy = x[1] - x[0], y[1] - y[0]
     assert w.sum() * dx * dy == pytest.approx(1.0, abs=1e-6)

@@ -10,12 +10,17 @@ import numpy as np
 import pytest
 
 from levsqueeze import optimize as opt
-from levsqueeze.angular import QuadratureRule
+from levsqueeze.angular import QuadratureRule, gaussian_overlap
 from levsqueeze.errors import ConfigError
-from levsqueeze.squeeze import beam_overlap
+from levsqueeze.squeeze import OverlapResult
 
 FAST_RULE = QuadratureRule(n_theta=32, n_phi=64)
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def beam_overlap(kind, axis, beam):
+    """The exact overlap of the make_beam beam of parameters `beam`."""
+    return OverlapResult(xi=gaussian_overlap(kind, axis, **beam))
 
 
 def phase_problem(objective="recoil_ratio", phi=0.0):

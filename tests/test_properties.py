@@ -73,7 +73,7 @@ def test_ratio_is_2pi_periodic(m, r, phi):
 @DETERMINISTIC
 @given(r=degrees, phi=phases)
 def test_bare_covariance_is_pure(r, phi):
-    cov = detect.bare_mode_covariance(r, phi)
+    cov, _ = detect.wigner_covariance("bare", r=r, phi=phi)
     tolerance = REL * max(1.0, cov[0, 0] * cov[1, 1])
     assert cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0] == pytest.approx(1.0, abs=tolerance)
     assert np.all(np.diag(cov) > 0.0)

@@ -148,6 +148,18 @@ def test_irp_grid_blocks_match_one_shot(n_theta, n_phi, monkeypatch):
     assert grid.metadata["max_dsigma"] == dsigma.max()
 
 
+@pytest.mark.parametrize("kind, axis, beam_axis", [("motion", "z", (0, 0, -1)), ("libration", "y", (1, 1, -1))])
+def test_one_dsigma_formula(kind, axis, beam_axis):
+    # the IRP table, the pointwise cross section and the total share one dsigma
+    cfg = make_config(na=0.6, axis=axis, kind=kind, db=12.0, phi=0.9, beam_axis=beam_axis)
+    grid = scatter.irp_grid(cfg, n_theta=13, n_phi=24)
+    k = direction(grid.table[:, 0], grid.table[:, 1])
+    assert np.array_equal(grid.table[:, 2], scatter.differential_cross_section(cfg, k))
+    dsigma = lambda k: [scatter.differential_cross_section(cfg, k)]  # noqa: E731
+    total = angular.integrate_sphere(dsigma, cfg.rule, axis=cfg.beam.support_axis)
+    assert scatter.integrated_cross_section(cfg) == total == grid.normalization
+
+
 def test_irp_suppression_grows_with_na():
     # stronger focusing overlaps the back-scattering lobe better, so the
     # total inelastic scattering drops
