@@ -40,6 +40,8 @@ CONFIG_DIR_ENV = "LEVSQUEEZE_CONFIG_DIR"
 PHYSICS_SECTIONS = {"laser": physics.Laser, "particle": physics.Particle, "rotor": physics.Rotor}
 # Largest quadrature error of a reported overlap that passes without a warning.
 QUADRATURE_WARNING = 1e-8
+# Largest distance of the Wigner table's sum of w dx dy from 1 that passes without a warning.
+WIGNER_SUM_WARNING = 1e-3
 
 # "x", "+x", "-x", ... -> unit vector
 AXIS_TOKENS = {
@@ -380,20 +382,16 @@ def recoil(run, opt):
         if label in beams:
             raise ConfigError(f"beam {label!r} is given twice: each --beam names its column ratio_{label}")
         beams[label] = params
-    db_values = parse_db_range(opt.db)
     header, rows, overlaps, errors = squeeze.recoil_sweep(
         beams,
         opt.axis,
-        [squeeze.db_to_r(v) for v in db_values],
+        parse_db_range(opt.db),
         phi=parse_number(opt.phase, "phase"),
         kind=opt.kind,
         include_perfect=opt.perfect_overlap,
         rule=run.rule,
         absolute_phase=opt.absolute_phase,
     )
-    header[0] = "r_db"
-    for row, dbv in zip(rows, db_values):
-        row[0] = dbv
     derived = run.derived_report()
     write_csv(run.path("recoil.csv"), header, rows)
 
@@ -523,9 +521,14 @@ def wigner(run, opt):
     r_s = squeeze.db_to_r(parse_number(opt.db, "db"))
     phi = parse_number(opt.phase, "phase")
     cov, det = detect.wigner_covariance(opt.source, r=r_s, phi=phi, xi=opt.xi)
-    x, y, w = detect.wigner_grid(cov, det, n=opt.grid_n)
-    xx, yy = np.meshgrid(x, y, indexing="ij")
-    write_csv(run.path("wigner.csv"), ["x", "y", "w"], np.column_stack([xx.ravel(), yy.ravel(), w.ravel()]))
+    table = detect.wigner_grid(cov, det, n=opt.grid_n)
+    total = table[:, 2].sum() * (table[1, 1] - table[0, 1]) ** 2  # sum of w dx dy
+    if abs(total - 1.0) > WIGNER_SUM_WARNING:
+        click.echo(
+            f"warning: the Wigner table sums to {total:.6g}, not 1; --grid-n {opt.grid_n} does not resolve this state",
+            err=True,
+        )
+    write_csv(run.path("wigner.csv"), ["x", "y", "w"], table)
     meta = {"covariance": cov.tolist(), "determinant": det, "source": opt.source}
     write_json(run.path("wigner_covariance.json"), meta)
 

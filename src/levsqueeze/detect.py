@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalFailure
-from .squeeze import InputSpectra, OverlapResult, SqueezeParams, input_spectra
+from .squeeze import InputSpectra, OverlapResult, SqueezeParams, input_spectra, spectra_determinant
 
 # "omega << Omega" idealization: |Re chi/chi| differs from 1 by < 1e-6 here
 LOW_FREQ_OMEGA_RATIO = 1e-3
@@ -97,14 +97,25 @@ def s_min_opt_u(spectra: InputSpectra, chi: Susceptibility):
 def s_min_opt_u_phase(xi_modulus: float, r_s: float, chi: Susceptibility):
     """Optimum of s_min over both u and the squeezing phase.
 
-    Returns (phi_opt, value) where phi_opt is the offset phi_s - 2 arg(xi):
-    3 pi/2 when Re chi_tilde > 0 (below resonance), pi/2 above.
+    Returns (phi_opt, value) where phi_opt is the offset phi_s - 2 arg(xi).
+    Over that offset Phi, s_min_opt_u is sqrt(a^2 - b^2 cos^2 Phi) + c b sin Phi,
+    with a = 1 - m^2 + m^2 cosh 2r, b = m^2 sinh 2r, c = cos_response and
+    m = |xi|, which is convex in sin Phi. With D = a^2 - b^2 = det S, the
+    minimum is sqrt(D (1 - c^2)) at sin Phi = -c sqrt(D) / (b sqrt(1 - c^2))
+    when c^2 D <= b^2 (1 - c^2). Otherwise it is a - |c| b, at sin Phi = -1
+    (3 pi/2) when Re chi_tilde >= 0 (below resonance) and +1 (pi/2) above.
     """
     if not 0.0 <= xi_modulus <= 1.0 + 1e-10:
         raise ConfigError("overlap modulus must lie in [0, 1]")
     cosr = chi.cos_response
-    phi_opt = 1.5 * np.pi if cosr >= 0 else 0.5 * np.pi
     m2 = xi_modulus**2
+    det = spectra_determinant(OverlapResult(xi=xi_modulus), r_s)
+    imag2 = 1.0 - cosr**2  # (Im chi_tilde / |chi_tilde|)^2
+    # (1 - c^2) b^2 cos^2 Phi at the stationary point, negative when |sin Phi| > 1 there
+    room = (m2 * math.sinh(2.0 * r_s)) ** 2 * imag2 - cosr**2 * det
+    if room >= 0.0:
+        return math.atan2(-cosr * math.sqrt(det), math.sqrt(room)) % (2.0 * np.pi), math.sqrt(det * imag2)
+    phi_opt = 1.5 * np.pi if cosr >= 0 else 0.5 * np.pi
     value = 1.0 - m2
     for eta in (+1.0, -1.0):
         value += m2 * 0.5 * math.exp(2.0 * eta * r_s) * (1.0 - eta * abs(cosr))
@@ -157,16 +168,17 @@ def wigner_grid(cov: np.ndarray, det: float, n: int = 201, half_width_sigmas: fl
     """Gaussian Wigner function on a square grid around the origin.
 
     det is the determinant of cov; the inverse is the adjugate over it.
-    Returns (x, y, w) with w of shape (n, n); integrates to 1 for a window
-    wide enough to contain the state.
+    Returns the (n * n, 3) table of x, y, w that wigner.csv holds, x-major;
+    the sum of w dx dy is 1 when the window contains the state and the
+    spacing resolves it.
     """
     if n < 2:
         raise ConfigError("Wigner grid needs at least 2 points per axis")
     sigma = math.sqrt(max(cov[0, 0], cov[1, 1]))
     half = half_width_sigmas * sigma
     x = np.linspace(-half, half, n)
-    y = np.linspace(-half, half, n)
-    xx, yy = np.meshgrid(x, y, indexing="ij")
-    quad = (cov[1, 1] * xx**2 - 2.0 * cov[0, 1] * xx * yy + cov[0, 0] * yy**2) / det
-    w = np.exp(-0.5 * quad) / (2.0 * np.pi * math.sqrt(det))
-    return x, y, w
+    xx, yy = np.meshgrid(x, x, indexing="ij")
+    # the quadratic form (x, y) cov^-1 (x, y)^T; rebinding w frees it before the table is built
+    w = (cov[1, 1] * xx**2 - 2.0 * cov[0, 1] * xx * yy + cov[0, 0] * yy**2) / det
+    w = np.exp(-0.5 * w) / (2.0 * np.pi * math.sqrt(det))
+    return np.column_stack([xx.ravel(), yy.ravel(), w.ravel()])

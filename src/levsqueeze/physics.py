@@ -1,7 +1,11 @@
 """Derived trap quantities: displaced-mode amplitude, mechanical and
 libration frequencies, zero-point amplitudes, and bare recoil rates.
 
-All quantities in SI units; angular frequencies in rad/s.
+All quantities in SI units; angular frequencies in rad/s. derived_report
+builds the nested report the CLI writes, whose keys are the only names of
+the mode quantities; every mode is damped at DAMPING_RATIO times its
+frequency. A quantity that extreme inputs take to zero or out of range is
+a NumericalFailure that names its key.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from .angular import MOTION_GEOMETRY_FACTORS
 from .constants import C, EPS0, HBAR
 from .errors import ConfigError, NumericalFailure
 
-DEFAULT_DAMPING_RATIO = 1e-6  # gamma_mu / Omega_mu unless specified
+DAMPING_RATIO = 1e-6  # gamma_mu / Omega_mu of every mode
 
 
 def _require_finite(inputs):
@@ -117,25 +121,6 @@ class Laser:
         return self.omega0 / C
 
 
-@dataclass(frozen=True)
-class MechanicalMode:
-    """One mechanical degree of freedom and its derived rates."""
-
-    axis: str
-    kind: str  # "motion" or "libration"
-    frequency: float  # rad/s
-    zero_point: float  # m (motion) or rad (libration)
-    damping: float  # rad/s
-    bare_recoil: float  # rad/s
-    geometry_factor: float | None = None  # motion only
-
-    def __post_init__(self):
-        if self.frequency <= 0:
-            raise ConfigError("mode frequency must be positive")
-        if self.damping < 0:
-            raise ConfigError("mode damping must be non-negative")
-
-
 def alpha0_squared(laser: Laser) -> float:
     """Squared displaced-mode amplitude of the trapping laser,
     16 pi^2 P / (hbar c^2 k0 W^2)."""
@@ -158,8 +143,6 @@ def motion_frequencies(particle: Particle, laser: Laser):
 
 def motion_recoil_bare(particle: Particle, laser: Laser, axis: str, zero_point: float):
     """Bare recoil heating rate of one motional mode (rad/s)."""
-    if axis not in MOTION_GEOMETRY_FACTORS:
-        raise ConfigError(f"motion axis must be x, y or z, got {axis!r}")
     a2 = alpha0_squared(laser)
     alpha = particle.polarizability
     return (
@@ -173,21 +156,18 @@ def motion_recoil_bare(particle: Particle, laser: Laser, axis: str, zero_point: 
     )
 
 
-def derive_motion_modes(particle: Particle, laser: Laser, damping_ratio=DEFAULT_DAMPING_RATIO):
-    """The three motional MechanicalModes for a trapped sphere."""
-    freqs = motion_frequencies(particle, laser)
+def derive_motion_modes(particle: Particle, laser: Laser):
+    """Report entries of the three motional modes of a trapped sphere."""
     modes = {}
-    for axis, omega in freqs.items():
+    for axis, omega in motion_frequencies(particle, laser).items():
         r0 = np.sqrt(HBAR / (2.0 * particle.mass * omega))
-        modes[axis] = MechanicalMode(
-            axis=axis,
-            kind="motion",
-            frequency=omega,
-            zero_point=r0,
-            damping=damping_ratio * omega,
-            bare_recoil=motion_recoil_bare(particle, laser, axis, r0),
-            geometry_factor=MOTION_GEOMETRY_FACTORS[axis],
-        )
+        modes[axis] = {
+            "frequency_rad_s": omega,
+            "zero_point_m": r0,
+            "damping_rad_s": DAMPING_RATIO * omega,
+            "bare_recoil_rad_s": motion_recoil_bare(particle, laser, axis, r0),
+            "geometry_factor": MOTION_GEOMETRY_FACTORS[axis],
+        }
     return modes
 
 
@@ -218,29 +198,26 @@ def libration_recoil_bare(rotor: Rotor, laser: Laser, zero_point: float):
     )
 
 
-def derive_libration_modes(rotor: Rotor, laser: Laser, damping_ratio=DEFAULT_DAMPING_RATIO):
-    """The y and z libration MechanicalModes (identical by symmetry)."""
+def derive_libration_modes(rotor: Rotor, laser: Laser):
+    """Report entries of the y and z libration modes (identical by symmetry)."""
     omega = libration_frequency(rotor, laser)
     r0 = np.sqrt(HBAR / (2.0 * rotor.moment_of_inertia * omega))
-    gamma0 = libration_recoil_bare(rotor, laser, r0)
-    return {
-        axis: MechanicalMode(
-            axis=axis,
-            kind="libration",
-            frequency=omega,
-            zero_point=r0,
-            damping=damping_ratio * omega,
-            bare_recoil=gamma0,
-        )
-        for axis in ("y", "z")
+    mode = {
+        "frequency_rad_s": omega,
+        "zero_point_rad": r0,
+        "damping_rad_s": DAMPING_RATIO * omega,
+        "bare_recoil_rad_s": libration_recoil_bare(rotor, laser, r0),
     }
+    return {axis: dict(mode) for axis in ("y", "z")}
 
 
 def derived_report(laser: Laser, particle: Particle = None, rotor: Rotor = None):
     """JSON-ready dictionary echoing every derived intermediate quantity;
     NumericalFailure if extreme inputs take one to zero or out of range."""
     try:
-        return _checked(_derived_quantities(laser, particle, rotor))
+        # numpy's warnings would only precede _checked's name for the quantity
+        with np.errstate(all="ignore"):
+            return _checked(_derived_quantities(laser, particle, rotor))
     except (ZeroDivisionError, OverflowError) as exc:
         raise NumericalFailure(f"a derived trap quantity is out of floating-point range ({exc})") from None
 
@@ -267,7 +244,6 @@ def _derived_quantities(laser, particle, rotor):
         "alpha0_squared": alpha0_squared(laser),
     }
     if particle is not None:
-        modes = derive_motion_modes(particle, laser)
         report["particle"] = {
             "radius_m": particle.radius,
             "density_kg_m3": particle.density,
@@ -276,18 +252,8 @@ def _derived_quantities(laser, particle, rotor):
             "mass_kg": particle.mass,
             "polarizability_F_m2": particle.polarizability,
         }
-        report["motion_modes"] = {
-            axis: {
-                "frequency_rad_s": m.frequency,
-                "zero_point_m": m.zero_point,
-                "damping_rad_s": m.damping,
-                "bare_recoil_rad_s": m.bare_recoil,
-                "geometry_factor": m.geometry_factor,
-            }
-            for axis, m in modes.items()
-        }
+        report["motion_modes"] = derive_motion_modes(particle, laser)
     if rotor is not None:
-        modes = derive_libration_modes(rotor, laser)
         report["rotor"] = {
             "alpha_parallel_F_m2": rotor.alpha_parallel,
             "alpha_perp_F_m2": rotor.alpha_perp,
@@ -295,13 +261,5 @@ def _derived_quantities(laser, particle, rotor):
             "moment_of_inertia_kg_m2": rotor.moment_of_inertia,
             "volume_m3": rotor.volume,
         }
-        report["libration_modes"] = {
-            axis: {
-                "frequency_rad_s": m.frequency,
-                "zero_point_rad": m.zero_point,
-                "damping_rad_s": m.damping,
-                "bare_recoil_rad_s": m.bare_recoil,
-            }
-            for axis, m in modes.items()
-        }
+        report["libration_modes"] = derive_libration_modes(rotor, laser)
     return report

@@ -5,7 +5,9 @@ light.
 Amplitudes are first-order in the mechanical zero-point motion. The cross
 section, wherever it is used the component sum of |f_plus|^2 minus that of
 |f_minus|^2, is reported as a dimensionless shape factor, in units of
-(2 pi)^3 |alpha0|^2 Gamma0 / c.
+(2 pi)^3 |alpha0|^2 Gamma0 / c. irp_grid builds the IRP table once, in the
+shape irp.csv writes: one row per direction of an equiangular grid, one
+column per IRP_COLUMNS name.
 """
 
 from __future__ import annotations
@@ -101,21 +103,13 @@ IRP_COLUMNS = ("theta", "phi", "dsigma", "irp", "f_plus_sq", "f_minus_sq")
 
 @dataclass
 class IRPGrid:
-    """Equiangular grid of cross-section and IRP values.
+    """Equiangular grid of cross-section and IRP values: `table` holds one
+    row per grid point (theta-major) and one column per IRP_COLUMNS name,
+    the rows irp.csv writes; the irp column integrates to 1."""
 
-    The per-point fields are (n_theta, n_phi) views of `table`, which holds
-    one row per grid point (theta-major) and one column per IRP_COLUMNS name.
-    """
-
-    theta: np.ndarray  # (n_theta,)
-    phi: np.ndarray  # (n_phi,)
-    dsigma: np.ndarray  # (n_theta, n_phi)
-    irp: np.ndarray  # (n_theta, n_phi), integrates to 1
-    f_plus_sq: np.ndarray
-    f_minus_sq: np.ndarray
+    table: np.ndarray  # (n_theta * n_phi, len(IRP_COLUMNS))
     normalization: float  # integral of dsigma over the sphere
     metadata: dict
-    table: np.ndarray  # (n_theta * n_phi, len(IRP_COLUMNS))
 
 
 def irp_grid(cfg: ScatterConfig, n_theta=181, n_phi=360) -> IRPGrid:
@@ -162,14 +156,4 @@ def irp_grid(cfg: ScatterConfig, n_theta=181, n_phi=360) -> IRPGrid:
         "max_dsigma": float(dsigma.max()),
         "has_negative_values": bool(dsigma.min() < 0),
     }
-    return IRPGrid(
-        theta=theta,
-        phi=phi,
-        dsigma=dsigma,
-        irp=irp,
-        f_plus_sq=fp2,
-        f_minus_sq=fm2,
-        normalization=total,
-        metadata=metadata,
-        table=grid.reshape(-1, len(IRP_COLUMNS)),
-    )
+    return IRPGrid(table=grid.reshape(-1, len(IRP_COLUMNS)), normalization=total, metadata=metadata)

@@ -177,21 +177,22 @@ def recoil_ratio(xi: OverlapResult, sq: SqueezeParams, absolute_phase=True) -> f
 def recoil_sweep(
     beams: dict[str, dict] | None,
     axis: str,
-    r_values,
+    db_values,
     phi: float = 0.0,
     kind: str = "motion",
     include_perfect: bool = True,
     rule: QuadratureRule = DEFAULT_RULE,
     absolute_phase: bool = False,
 ):
-    """Recoil ratio versus squeezing degree for one or more beams.
+    """Recoil ratio versus squeezing level in dB for one or more beams.
 
     beams maps column label -> make_beam parameter dict (na, axis,
     polarization_angle, weight). phi is the phase offset
     Phi = phi_s - 2 psi by default (absolute_phase=False). Each beam's
     overlap is exact, with its quadrature error on `rule` reported beside
-    it (checked_overlap). Returns (header, rows, overlaps, errors), the last
-    two keyed by column.
+    it (checked_overlap). Returns (header, rows, overlaps, errors): the
+    recoil.csv table, one r_db row per dB value, and per column its overlap
+    and quadrature error.
     """
     make_mode(kind, axis)  # checks the mode, which the |xi| = 1 column alone does not read
     columns = []
@@ -202,11 +203,11 @@ def recoil_sweep(
         res, errors[f"ratio_{label}"] = checked_overlap(kind, axis, params, rule)
         columns.append((f"ratio_{label}", res))
 
-    header = ["r_s"] + [name for name, _ in columns]
+    header = ["r_db"] + [name for name, _ in columns]
     rows = []
-    for r in np.atleast_1d(np.asarray(r_values, dtype=float)):
-        sq = SqueezeParams(r_s=float(r), phi_s=phi)
-        row = [float(r)]
+    for db in db_values:
+        sq = SqueezeParams(r_s=db_to_r(db), phi_s=phi)
+        row = [float(db)]
         for _, res in columns:
             row.append(recoil_ratio(res, sq, absolute_phase=absolute_phase))
         rows.append(row)

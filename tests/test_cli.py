@@ -68,6 +68,38 @@ def test_recoil_outputs(tmp_path):
     assert value == pytest.approx(math.exp(2.0 * r15), rel=1e-6)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--axis", "z", "--beam", "na=0.9,axis=-z", "--beam", "na=0.7,axis=-y", "--beam", "na=0.6,axis=+x,pol=pi/3"],
+        ["--kind", "libration", "--axis", "y", "--beam", "na=0.8,axis=-z,pol=pi/2", "--beam", "na=0.5,axis=+z,pol=-pi/2"],
+    ],
+    ids=["motion", "libration"],
+)
+def test_recoil_absolute_phase_is_offset_by_twice_arg_xi(tmp_path, args):
+    # with --absolute-phase, --phase is phi_s and each column is the closed
+    # form at Phi = phi_s - 2 arg(xi), xi as recoil_params.json writes it
+    phi_s = 0.4
+    assert run(tmp_path, "recoil", "--perfect-overlap", *args, "--db", "0:20:2.5", "--phase", str(phi_s), "--absolute-phase") == 0
+    lines = (tmp_path / "recoil.csv").read_text().splitlines()
+    header, rows = lines[0].split(","), [[float(v) for v in line.split(",")] for line in lines[1:]]
+    overlaps = json.loads((tmp_path / "recoil_params.json").read_text())["overlaps"]
+    assert sorted(header[1:]) == sorted(overlaps) and len(rows) == 9
+    for column, xi in overlaps.items():
+        m, phase = xi["modulus"], phi_s - 2.0 * math.atan2(xi["im"], xi["re"])
+        for row in rows:
+            r = row[0] * math.log(10.0) / 20.0
+            s2, c2 = math.sin(phase / 2.0) ** 2, math.cos(phase / 2.0) ** 2
+            expected = 1.0 - m * m * (1.0 - math.exp(2.0 * r) * s2 - math.exp(-2.0 * r) * c2)
+            assert row[header.index(column)] == pytest.approx(expected, rel=1e-10)
+
+
+def test_recoil_absolute_phase_zero_is_the_enhancement(tmp_path):
+    # arg xi = -pi/2 for motion z, so phi_s = 0 is the offset Phi = pi
+    assert run(tmp_path, "recoil", "--beam", "na=0.9,axis=-z", "--db", "15", "--phase", "0", "--absolute-phase") == 0
+    assert (tmp_path / "recoil.csv").read_text() == "r_db,ratio_na0.9_-z\n15,27.2739008105\n"
+
+
 def test_recoil_zero_db_neutral(tmp_path):
     assert run(tmp_path, "recoil", "--beam", "na=0.8,axis=-z", "--db", "0") == 0
     lines = (tmp_path / "recoil.csv").read_text().strip().split("\n")
@@ -245,6 +277,26 @@ def test_wigner_outputs(tmp_path):
     assert code == 0
     cov = json.loads((tmp_path / "wigner_covariance.json").read_text())
     assert cov["determinant"] == pytest.approx(1.0, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "args, grid_n, total",
+    [
+        (["--db", "30"], 101, 3.743),
+        (["--db", "40"], 401, 2.346),
+        (["--db", "15"], 101, None),
+        (["--db", "15"], 401, None),
+        (["--source", "input", "--xi", "0.9", "--db", "30"], 101, None),
+    ],
+)
+def test_wigner_warns_when_the_grid_does_not_resolve_the_state(tmp_path, capsys, args, grid_n, total):
+    # the sum of w dx dy of wigner.csv is 1 unless the spacing is too coarse for the squeezed width
+    assert run(tmp_path, "wigner", *args, "--phase", "0.7", "--grid-n", str(grid_n)) == 0
+    x, y, w = np.loadtxt(tmp_path / "wigner.csv", delimiter=",", skiprows=1).T
+    written = w.sum() * (y[1] - y[0]) ** 2
+    assert written == pytest.approx(1.0 if total is None else total, abs=1e-3)
+    warning = f"warning: the Wigner table sums to {written:.6g}, not 1; --grid-n {grid_n} does not resolve this state\n"
+    assert capsys.readouterr().err == ("" if total is None else warning)
 
 
 @pytest.mark.parametrize(
@@ -583,6 +635,22 @@ PARTICLE = {"radius": 70e-9, "density": 2200.0, "permittivity": 2.1}
 ROTOR = {"alpha_parallel": 6.0e-33, "alpha_perp": 4.0e-33, "moment_of_inertia": 1.0e-31, "permittivity": 2.1, "volume": 2.0e-21}
 
 
+def recoil_in_fresh_python(tmp_path, physics):
+    """`recoil --db 15` in a new interpreter, under a config file of the
+    `physics` sections; the output directory must stay absent."""
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps(physics))
+    out = tmp_path / "out"
+    proc = fresh_python(
+        "import sys\nfrom levsqueeze.cli import main\n"
+        "sys.exit(main(['--config', sys.argv[1], '--out', sys.argv[2], 'recoil', '--db', '15']))",
+        str(config),
+        str(out),
+    )
+    assert not out.exists()
+    return proc
+
+
 @pytest.mark.parametrize(
     "laser, named",
     [
@@ -594,19 +662,18 @@ ROTOR = {"alpha_parallel": 6.0e-33, "alpha_perp": 4.0e-33, "moment_of_inertia": 
     ],
 )
 def test_extreme_physics_inputs_exit_3_before_any_file(tmp_path, laser, named):
-    config = tmp_path / "conf.json"
-    config.write_text(json.dumps({"laser": laser, "particle": PARTICLE, "rotor": ROTOR}))
-    out = tmp_path / "out"
-    proc = fresh_python(
-        "import sys\nfrom levsqueeze.cli import main\n"
-        "sys.exit(main(['--config', sys.argv[1], '--out', sys.argv[2], 'recoil', '--db', '15']))",
-        str(config),
-        str(out),
-    )
+    proc = recoil_in_fresh_python(tmp_path, {"laser": laser, "particle": PARTICLE, "rotor": ROTOR})
     assert proc.returncode == 3
     assert proc.stderr.startswith("numerical failure: ") and named in proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert not out.exists()
+    assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+
+
+def test_zero_trap_frequency_exits_3_with_one_line(tmp_path):
+    # the trap frequency underflows to 0 and numpy divides by it; the report
+    # names the frequency, and no numpy warning precedes it
+    proc = recoil_in_fresh_python(tmp_path, {"laser": {**LASER, "power": 5e-324}, "particle": {**PARTICLE, "density": 1e300}})
+    assert proc.returncode == 3
+    assert proc.stderr == "numerical failure: derived quantity motion_modes.x.frequency_rad_s is 0, out of floating-point range\n"
 
 
 def test_paraxial_warning_names_the_laser_section_once(tmp_path, capsys):

@@ -126,7 +126,8 @@ def test_opt_phase_special_values():
     chi = chi_at(1.0, gamma=1e-6)  # resonance: Re chi ~ 0
     m, r = 0.8, 1.1
     _, value = detect.s_min_opt_u_phase(m, r, chi)
-    assert value == pytest.approx(m**2 * math.cosh(2 * r) + 1 - m**2, rel=1e-6)
+    # without a correlation term sin Phi = 0 is optimal: sqrt(det S)
+    assert value == pytest.approx(math.sqrt(squeeze.spectra_determinant(squeeze.OverlapResult(xi=m), r)), rel=1e-6)
     _, unit = detect.s_min_opt_u_phase(0.0, 2.0, chi)
     assert unit == pytest.approx(1.0, rel=1e-12)
 
@@ -160,8 +161,8 @@ def test_wigner_covariances():
 
 def test_wigner_grid_normalization():
     cov, _ = detect.wigner_covariance("bare", r=1.0, phi=0.7)
-    x, y, w = detect.wigner_grid(cov, 1.0, n=401)
-    dx, dy = x[1] - x[0], y[1] - y[0]
+    x, y, w = detect.wigner_grid(cov, 1.0, n=401).reshape(401, 401, 3).transpose(2, 0, 1)
+    dx, dy = x[1, 0] - x[0, 0], y[0, 1] - y[0, 0]
     assert w.sum() * dx * dy == pytest.approx(1.0, abs=1e-6)
     assert w[200, 200] == pytest.approx(
         1.0 / (2 * np.pi * math.sqrt(np.linalg.det(cov))), rel=1e-12

@@ -60,10 +60,10 @@ def test_frequency_order_of_magnitude(particle, laser):
 
 def test_recoil_rate_ratios(particle, laser):
     modes = physics.derive_motion_modes(particle, laser)
-    gx, gy, gz = (modes[a].bare_recoil for a in "xyz")
+    gx, gy, gz = (modes[a]["bare_recoil_rad_s"] for a in "xyz")
     # x and y share a frequency, so their rates differ only by geometry
     assert gy / gx == pytest.approx(2.0, rel=1e-12)
-    rz, rx = modes["z"].zero_point, modes["x"].zero_point
+    rz, rx = modes["z"]["zero_point_m"], modes["x"]["zero_point_m"]
     assert gz / gx == pytest.approx(7.0 * rz**2 / rx**2, rel=1e-12)
     assert all(g > 0 for g in (gx, gy, gz))
 
@@ -71,22 +71,22 @@ def test_recoil_rate_ratios(particle, laser):
 def test_zero_point_invariant(particle, laser):
     modes = physics.derive_motion_modes(particle, laser)
     for mode in modes.values():
-        product = mode.zero_point**2 * 2.0 * particle.mass * mode.frequency
+        product = mode["zero_point_m"] ** 2 * 2.0 * particle.mass * mode["frequency_rad_s"]
         assert product == pytest.approx(HBAR, rel=1e-12)
 
 
 def test_damping_default(particle, laser):
     modes = physics.derive_motion_modes(particle, laser)
     for mode in modes.values():
-        assert mode.damping == pytest.approx(1e-6 * mode.frequency, rel=1e-14)
+        assert mode["damping_rad_s"] == pytest.approx(1e-6 * mode["frequency_rad_s"], rel=1e-14)
 
 
 def test_libration_modes_identical(rotor, laser):
     modes = physics.derive_libration_modes(rotor, laser)
-    assert modes["y"].frequency == modes["z"].frequency
-    assert modes["y"].bare_recoil == modes["z"].bare_recoil
-    assert modes["y"].bare_recoil > 0
-    product = modes["y"].zero_point**2 * 2.0 * rotor.moment_of_inertia * modes["y"].frequency
+    assert modes["y"]["frequency_rad_s"] == modes["z"]["frequency_rad_s"]
+    assert modes["y"]["bare_recoil_rad_s"] == modes["z"]["bare_recoil_rad_s"]
+    assert modes["y"]["bare_recoil_rad_s"] > 0
+    product = modes["y"]["zero_point_rad"] ** 2 * 2.0 * rotor.moment_of_inertia * modes["y"]["frequency_rad_s"]
     assert product == pytest.approx(HBAR, rel=1e-12)
 
 
@@ -115,8 +115,8 @@ def test_rate_scaling_with_power(particle, laser):
     brighter = physics.Laser(
         power=4 * laser.power, waist=laser.waist, wavelength=laser.wavelength
     )
-    g1 = physics.derive_motion_modes(particle, laser)["z"].bare_recoil
-    g2 = physics.derive_motion_modes(particle, brighter)["z"].bare_recoil
+    g1 = physics.derive_motion_modes(particle, laser)["z"]["bare_recoil_rad_s"]
+    g2 = physics.derive_motion_modes(particle, brighter)["z"]["bare_recoil_rad_s"]
     assert g2 / g1 == pytest.approx(2.0, rel=1e-10)
 
 
@@ -125,7 +125,7 @@ def test_coupling_normalization_consistency(particle, laser):
     # consistent: scaling the pattern by the physical coupling amplitude
     # reproduces that amplitude's squared norm under quadrature
     mode = physics.derive_motion_modes(particle, laser)["z"]
-    scale = C**3 * mode.bare_recoil / (2.0 * np.pi * laser.omega0**2)
+    scale = C**3 * mode["bare_recoil_rad_s"] / (2.0 * np.pi * laser.omega0**2)
     dist = angular.make_motion_distribution("z")
     norm = angular.integrate_sphere(
         lambda k: scale * np.abs(dist.amplitude(k)) ** 2

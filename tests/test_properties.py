@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from levsqueeze import angular, detect, optimize, squeeze
 
@@ -77,6 +77,52 @@ def test_bare_covariance_is_pure(r, phi):
     tolerance = REL * max(1.0, cov[0, 0] * cov[1, 1])
     assert cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0] == pytest.approx(1.0, abs=tolerance)
     assert np.all(np.diag(cov) > 0.0)
+
+
+def phase_scan_minimum(m, r, chi, n=720):
+    """Smallest s_min_opt_u over the phase offset, from input_spectra: the
+    best of n equally spaced phases, refined by golden-section search
+    between its two neighbours."""
+
+    def value(phi):
+        return detect.s_min_opt_u(spectra(m, r, phi), chi)[1]
+
+    step = 2.0 * math.pi / n
+    values = [value(i * step) for i in range(n)]
+    best = int(np.argmin(values))
+    a, b = (best - 1) * step, (best + 1) * step
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fd = value(c), value(d)
+    for _ in range(60):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - g * (b - a)
+            fc = value(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + g * (b - a)
+            fd = value(d)
+    return min(values[best], fc, fd)
+
+
+@DETERMINISTIC
+@given(
+    m=moduli,
+    db=st.floats(min_value=0.0, max_value=30.0),
+    omega=st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=10.0)),
+    gamma=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=10.0)),
+)
+def test_phase_optimal_sensitivity_is_the_phase_scan_minimum(m, db, omega, gamma):
+    # over everything `sensitivity --heatmap` accepts up to 30 dB; omega = Omega
+    # without damping is the pole, which exits 3
+    assume(not (omega == 1.0 and gamma == 0.0))
+    chi = detect.Susceptibility(omega=omega, mode_frequency=1.0, damping=gamma)
+    r = squeeze.db_to_r(db)
+    phi_opt, value = detect.s_min_opt_u_phase(m, r, chi)
+    assert value == pytest.approx(phase_scan_minimum(m, r, chi), rel=1e-9)
+    # the returned phase reaches that value
+    assert detect.s_min_opt_u(spectra(m, r, phi_opt), chi)[1] == pytest.approx(value, rel=1e-9)
 
 
 MODES = [("motion", "x"), ("motion", "y"), ("motion", "z"), ("libration", "y"), ("libration", "z")]

@@ -107,9 +107,10 @@ def test_irp_grid_normalization_and_metadata():
     cfg = make_config(na=0.5, phi=0.4)
     grid = scatter.irp_grid(cfg, n_theta=19, n_phi=36)
     assert grid.normalization == pytest.approx(cfg.ratio, rel=1e-9)
-    assert grid.irp.shape == (19, 36)
-    assert np.allclose(grid.irp * grid.normalization, grid.dsigma)
-    assert grid.metadata["has_negative_values"] == bool(grid.dsigma.min() < 0)
+    dsigma, irp = grid.table[:, 2], grid.table[:, 3]
+    assert grid.table.shape == (19 * 36, len(scatter.IRP_COLUMNS))
+    assert np.allclose(irp * grid.normalization, dsigma)
+    assert grid.metadata["has_negative_values"] == bool(dsigma.min() < 0)
     assert grid.metadata["xi_modulus"] == pytest.approx(cfg.xi.modulus)
 
 
@@ -139,10 +140,6 @@ def test_irp_grid_blocks_match_one_shot(n_theta, n_phi, monkeypatch):
     total = scatter.integrated_cross_section(cfg)
     expected = np.column_stack([tt.ravel(), pp.ravel(), dsigma, dsigma / total, fp2, fm2])
     assert np.array_equal(grid.table, expected)
-    for name in scatter.IRP_COLUMNS[2:]:
-        field = getattr(grid, name)
-        assert np.shares_memory(field, grid.table)
-        assert np.array_equal(field, expected[:, scatter.IRP_COLUMNS.index(name)].reshape(n_theta, n_phi))
     assert grid.normalization == total
     assert grid.metadata["min_dsigma"] == dsigma.min()
     assert grid.metadata["max_dsigma"] == dsigma.max()

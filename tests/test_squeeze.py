@@ -89,10 +89,10 @@ def test_input_spectra_reject_unphysical_at_any_scale():
 
 
 def test_recoil_sweep_perfect_column():
-    header, rows, overlaps, errors = squeeze.recoil_sweep(
-        None, "z", np.linspace(0.0, 2.0, 9), phi=0.0
-    )
-    assert header == ["r_s", "ratio_perfect"]
+    db_values = np.linspace(0.0, 2.0, 9) * 20.0 / math.log(10.0)  # r from 0 to 2
+    header, rows, overlaps, errors = squeeze.recoil_sweep(None, "z", db_values, phi=0.0)
+    assert header == ["r_db", "ratio_perfect"]
+    assert [row[0] for row in rows] == list(db_values)
     ratios = [row[1] for row in rows]
     assert all(b < a for a, b in zip(ratios, ratios[1:]))
     assert ratios[-1] == pytest.approx(math.exp(-4.0), rel=1e-12)
@@ -101,9 +101,9 @@ def test_recoil_sweep_perfect_column():
 
 
 def test_perfect_overlap_same_for_motion_and_libration():
-    r_values = np.linspace(0.0, 2.0, 5)
-    _, rows_m, *_ = squeeze.recoil_sweep(None, "z", r_values, phi=0.3)
-    _, rows_l, *_ = squeeze.recoil_sweep(None, "y", r_values, phi=0.3, kind="libration")
+    db_values = np.linspace(0.0, 20.0, 5)
+    _, rows_m, *_ = squeeze.recoil_sweep(None, "z", db_values, phi=0.3)
+    _, rows_l, *_ = squeeze.recoil_sweep(None, "y", db_values, phi=0.3, kind="libration")
     for a, b in zip(rows_m, rows_l):
         assert a[1] == pytest.approx(b[1], rel=1e-12)
 
