@@ -111,10 +111,12 @@ def s_min_opt_u_phase(xi_modulus: float, r_s: float, chi: Susceptibility):
     m2 = xi_modulus**2
     det = spectra_determinant(OverlapResult(xi=xi_modulus), r_s)
     imag2 = 1.0 - cosr**2  # (Im chi_tilde / |chi_tilde|)^2
-    # (1 - c^2) b^2 cos^2 Phi at the stationary point, negative when |sin Phi| > 1 there
-    room = (m2 * math.sinh(2.0 * r_s)) ** 2 * imag2 - cosr**2 * det
-    if room >= 0.0:
-        return math.atan2(-cosr * math.sqrt(det), math.sqrt(room)) % (2.0 * np.pi), math.sqrt(det * imag2)
+    # the stationary point has |sin Phi| <= 1 when |c| sqrt(D) <= b sqrt(1 - c^2);
+    # nothing is squared, so b may reach the float range
+    lhs, rhs = abs(cosr) * math.sqrt(det), m2 * math.sinh(2.0 * r_s) * math.sqrt(imag2)
+    if imag2 > 0.0 and lhs <= rhs:
+        cos_term = math.sqrt(rhs - lhs) * math.sqrt(rhs + lhs)  # b sqrt(1 - c^2) cos Phi there
+        return math.atan2(-cosr * math.sqrt(det), cos_term) % (2.0 * np.pi), math.sqrt(det * imag2)
     phi_opt = 1.5 * np.pi if cosr >= 0 else 0.5 * np.pi
     value = 1.0 - m2
     for eta in (+1.0, -1.0):

@@ -4,17 +4,24 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from levsqueeze import cli, io
+from levsqueeze import cli, detect, io
 from levsqueeze.cli import OPTIONS, main, parse_beam_spec, parse_db_range, parse_number, parse_quad
 from levsqueeze.angular import QuadratureRule, gaussian_overlap, integrate_sphere, make_beam, make_mode, overlap
 from levsqueeze.errors import ConfigError, NumericalFailure
 from levsqueeze.io import write_csv, write_json
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from perfbench import workloads  # noqa: E402
 
 
 def run(tmp_path, *args):
@@ -272,6 +279,18 @@ def test_sensitivity_heatmap(tmp_path):
     assert len(lines) == 1 + 5 * 6
 
 
+@pytest.mark.parametrize("extra", [[], ["--omega-ratio", "0.5"]], ids=["defaults", "omega-ratio-0.5"])
+def test_sensitivity_heatmap_at_2000_db(tmp_path, extra):
+    # b = |xi|^2 sinh 2r is near 1e200 here, so nothing may square it
+    assert run(tmp_path, "sensitivity", "--heatmap", "--db", "2000", "--heatmap-grid", "3x3", *extra) == 0
+    e2r, xi2, value = np.loadtxt(tmp_path / "sensitivity.csv", delimiter=",", skiprows=1).T
+    assert e2r[-1] == pytest.approx(1e200) and np.all(value > 0)
+    if extra:
+        # a pure state (|xi| = 1, det S = 1) squeezed this far reaches sqrt(1 - c^2)
+        cosr = detect.Susceptibility(omega=0.5, mode_frequency=1.0, damping=1e-6).cos_response
+        assert value[(xi2 == 1) & (e2r > 1)] == pytest.approx(math.sqrt(1.0 - cosr**2), rel=1e-12)
+
+
 def test_wigner_outputs(tmp_path):
     code = run(tmp_path, "wigner", "--db", "15", "--phase", "0", "--grid-n", "11")
     assert code == 0
@@ -279,22 +298,32 @@ def test_wigner_outputs(tmp_path):
     assert cov["determinant"] == pytest.approx(1.0, rel=1e-10)
 
 
+def figures_wigner(seed):
+    """The arguments of the benchmark `figures` workload's wigner command."""
+    (command,) = [command for command in workloads.commands("figures", seed) if command.name == "wigner"]
+    assert command.args[0] == "wigner"
+    return command.args[1:]
+
+
 @pytest.mark.parametrize(
-    "args, grid_n, total",
+    "args, total",
     [
-        (["--db", "30"], 101, 3.743),
-        (["--db", "40"], 401, 2.346),
-        (["--db", "15"], 101, None),
-        (["--db", "15"], 401, None),
-        (["--source", "input", "--xi", "0.9", "--db", "30"], 101, None),
+        (["--db", "30", "--phase", "0.7", "--grid-n", "101"], 3.743),
+        (["--db", "40", "--phase", "0.7", "--grid-n", "401"], 2.346),
+        (["--db", "15", "--phase", "0.7", "--grid-n", "101"], None),
+        (["--db", "15", "--phase", "0.7", "--grid-n", "401"], None),
+        (["--source", "input", "--xi", "0.9", "--db", "30", "--phase", "0.7", "--grid-n", "101"], None),
+        (figures_wigner(3), None),
+        (figures_wigner(7), None),
     ],
 )
-def test_wigner_warns_when_the_grid_does_not_resolve_the_state(tmp_path, capsys, args, grid_n, total):
+def test_wigner_warns_when_the_grid_does_not_resolve_the_state(tmp_path, capsys, args, total):
     # the sum of w dx dy of wigner.csv is 1 unless the spacing is too coarse for the squeezed width
-    assert run(tmp_path, "wigner", *args, "--phase", "0.7", "--grid-n", str(grid_n)) == 0
+    assert run(tmp_path, "wigner", *args) == 0
     x, y, w = np.loadtxt(tmp_path / "wigner.csv", delimiter=",", skiprows=1).T
     written = w.sum() * (y[1] - y[0]) ** 2
     assert written == pytest.approx(1.0 if total is None else total, abs=1e-3)
+    grid_n = args[args.index("--grid-n") + 1]
     warning = f"warning: the Wigner table sums to {written:.6g}, not 1; --grid-n {grid_n} does not resolve this state\n"
     assert capsys.readouterr().err == ("" if total is None else warning)
 

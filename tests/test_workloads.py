@@ -44,14 +44,6 @@ def test_workload_command_passes_its_check(tmp_path, command):
     command.check(str(out))
 
 
-@pytest.mark.parametrize("seed", [3, 7])
-def test_full_size_wigner_command_resolves_its_state(tmp_path, capsys, seed):
-    # the 401-point figures command stays clear of the unresolved-grid warning
-    (command,) = [command for command in workloads.commands("figures", seed) if command.name == "wigner"]
-    assert main(["--out", str(tmp_path)] + command.args) == 0
-    assert capsys.readouterr().err == ""
-
-
 def test_traced_overlaps_use_the_quad_rule(tmp_path):
     spans_path = tmp_path / "spans.json"
     args = ["--out", str(tmp_path / "out"), "--quad", "16x32", "recoil", "--beam", "na=0.8,axis=-z"]

@@ -1,13 +1,13 @@
 """Compare the artifacts of the benchmark workloads between a git revision
 and the working tree, byte for byte.
 
-    python3 tools/artifact_diff.py REV [--seed N ...] [--workload NAME ...] [--reduced]
+    python3 tools/artifact_diff.py REV
 
 REV's `src/` is extracted with `git archive` into a temporary directory;
 the working tree and `.git` are only read, and `perfbench/` only for its
 workload definitions. Each tree runs every command of
-`perfbench.workloads.commands(workload, seed)` (default: every workload at
-seeds 3 and 7, full size) in one fresh interpreter that imports levsqueeze
+`perfbench.workloads.commands(workload, seed)`, every workload at seeds 3
+and 7 and full size, in one fresh interpreter that imports levsqueeze
 from that tree's `src/`. Every CSV and JSON file the commands write, the
 echoed `<command>_config.json` included, is then compared. One line per
 artifact says `identical`, or how many of its cells (CSV cells, JSON leaves)
@@ -19,6 +19,10 @@ every command succeeded, 1 otherwise.
 Both trees run on one host. numpy's SIMD paths for exp, sin and cos may
 differ in the last ulp between CPUs, so a comparison with artifacts made on
 another host could differ where the code does not; this one cannot.
+
+On Python older than 3.10.12 and 3.11.4, whose tarfile has no extraction
+filters, REV's archive is extracted without one; it comes from this
+repository's own history.
 """
 
 from __future__ import annotations
@@ -173,22 +177,22 @@ def extract(rev, dest):
         ["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"], capture_output=True, check=True
     ).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(dest, filter="data")
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(dest, filter="data")
+        else:
+            tar.extractall(dest)
     return Path(dest) / "src"
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="git revision to compare the working tree with")
-    parser.add_argument("--seed", type=int, action="append", help="workload seed (repeatable; default 3 and 7)")
-    parser.add_argument("--workload", action="append", choices=list(workloads.WORKLOADS), help="default: all")
-    parser.add_argument("--reduced", action="store_true", help="the workloads' reduced sizes")
     args = parser.parse_args(argv)
-    names, seeds = args.workload or list(workloads.WORKLOADS), args.seed or list(SEEDS)
+    names = list(workloads.WORKLOADS)
 
     with tempfile.TemporaryDirectory(prefix="artifact_diff-") as scratch:
         scratch = Path(scratch)
-        jobs = plan(names, seeds, scratch / "configs", reduced=args.reduced)
+        jobs = plan(names, SEEDS, scratch / "configs")
         codes_rev = run_tree(extract(args.rev, scratch / "rev"), scratch / "out-rev", jobs)
         codes_work = run_tree(ROOT / "src", scratch / "out-work", jobs)
         failed = [where for where, _ in jobs if codes_rev[where] or codes_work[where]]
@@ -198,10 +202,9 @@ def main(argv=None):
     for path, problem in results:
         print(f"{path}: {problem or 'identical'}")
     same = sum(problem is None for _, problem in results)
-    size = "reduced size" if args.reduced else "full size"
     summary = (
         f"artifact_diff {args.rev} against the working tree: {same} of {len(results)} artifacts identical "
-        f"({', '.join(names)} at {size}, seeds {', '.join(map(str, seeds))})"
+        f"({', '.join(names)} at full size, seeds {', '.join(map(str, SEEDS))})"
     )
     if failed:
         summary += f"; {len(failed)} commands failed"
