@@ -44,16 +44,18 @@ MOTION_GEOMETRY_FACTORS = {"x": 1.0 / 5.0, "y": 2.0 / 5.0, "z": 7.0 / 5.0}
 BLOCK = 8192
 
 
+def _directions(sin_t, cos_t, phi):
+    """Unit vectors of the theta-major product grid of polar rows
+    (sin_t, cos_t) and azimuths phi, shape (3, len(sin_t) * len(phi))."""
+    return np.stack(
+        [np.outer(sin_t, np.cos(phi)).ravel(), np.outer(sin_t, np.sin(phi)).ravel(), np.repeat(cos_t, len(phi))]
+    )
+
+
 def spherical_basis(theta, phi):
-    """Unit vectors (e_k, e_theta, e_phi) at the given angles, shape (3, ...)."""
+    """Unit vectors k of the theta-major grid of the 1-D axes theta and phi, shape (3, n)."""
     theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    st, ct = np.sin(theta), np.cos(theta)
-    sp, cp = np.sin(phi), np.cos(phi)
-    e_k = np.stack([st * cp, st * sp, ct])
-    e_t = np.stack([ct * cp, ct * sp, -st])
-    e_p = np.stack([-sp, cp, np.zeros_like(sp)])
-    return e_k, e_t, e_p
+    return _directions(np.sin(theta), np.cos(theta), np.asarray(phi, dtype=float))
 
 
 def rotation_to_axis(axis):
@@ -88,9 +90,7 @@ def _frame_nodes(n_theta, n_phi):
     cos_t = np.concatenate([0.5 * (x - 1.0), 0.5 * (x + 1.0)])
     sin_t = np.sqrt(1.0 - cos_t**2)
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    k = np.stack(
-        [np.outer(sin_t, np.cos(phi)).ravel(), np.outer(sin_t, np.sin(phi)).ravel(), np.repeat(cos_t, n_phi)]
-    )
+    k = _directions(sin_t, cos_t, phi)
     weight = np.outer(np.concatenate([0.5 * w, 0.5 * w]), np.full(n_phi, 2.0 * np.pi / n_phi)).ravel()
     k.flags.writeable = weight.flags.writeable = False
     return k, weight
@@ -167,7 +167,6 @@ class AngularDistribution:
     `support_axis`, if one is given.
     """
 
-    label: str
     amplitude: Callable[[np.ndarray], np.ndarray]
     support_axis: np.ndarray | None = None
 
@@ -222,7 +221,7 @@ def make_motion_distribution(axis):
     def func(k):
         return prefactor * _transverse(AXES["x"], k) * (e_mu @ k - e_mu[2])
 
-    return AngularDistribution(f"motion_{axis}", func)
+    return AngularDistribution(func)
 
 
 def make_libration_distribution(axis):
@@ -234,7 +233,7 @@ def make_libration_distribution(axis):
     def func(k):
         return prefactor * _transverse(e_mu, k)
 
-    return AngularDistribution(f"libration_{axis}", func)
+    return AngularDistribution(func)
 
 
 def make_mode(kind, axis):
@@ -283,7 +282,7 @@ def make_gaussian_beam(na, propagation_axis, polarization_angle=0.0):
         envelope = np.where(cos_v > 0.0, np.exp(-sin2_v / na**2), 0.0)
         return -_transverse(pol_vec, k) * envelope
 
-    return AngularDistribution(f"gaussian_na{na:g}", func, support_axis=n)
+    return AngularDistribution(func, support_axis=n)
 
 
 def _check_weight(weight):
@@ -302,8 +301,7 @@ def make_beam(na, axis=(0.0, 0.0, -1.0), polarization_angle=0.0, weight=0.0):
     axis = np.asarray(axis, dtype=float)
     beam = make_gaussian_beam(na, axis, polarization_angle)
     if weight > 0.0:
-        partner = make_gaussian_beam(na, -axis, polarization_angle)
-        beam = superpose([beam, partner], [np.sqrt(1.0 - weight), np.sqrt(weight)])
+        beam = superpose(beam, make_gaussian_beam(na, -axis, polarization_angle), weight)
     return beam
 
 
@@ -425,32 +423,16 @@ def rotated(dist: AngularDistribution, rotation):
         return rot @ dist.amplitude(rot.T @ k)
 
     axis = None if dist.support_axis is None else rot @ dist.support_axis
-    return AngularDistribution(f"{dist.label}_rotated", func, support_axis=axis)
+    return AngularDistribution(func, support_axis=axis)
 
 
-def superpose(distributions, weights, label="superposition"):
-    """Weighted sum of distributions.
-
-    The sum is square-normalized when the supports are disjoint and the
-    weights have unit norm, sum |w|^2 = 1: exactly make_beam's
-    counter-propagating pair. Nothing is renormalized. Keeps a support axis
-    only if every component shares a collinear one (e.g. two
-    counter-propagating beams), so that the hemisphere cut stays aligned
-    with the integration grid.
-    """
-    if len(distributions) != len(weights) or not distributions:
-        raise ConfigError("need equally many distributions and weights, at least one")
-    weights = [complex(w) for w in weights]
+def superpose(beam: AngularDistribution, partner: AngularDistribution, weight):
+    """sqrt(1 - w) beam + sqrt(w) partner, about the beam's support axis:
+    make_beam's counter-propagating pair, square-normalized because the
+    partner lives on the opposite hemisphere. Nothing is renormalized."""
+    a, b = np.sqrt(1.0 - weight), np.sqrt(weight)
 
     def func(k):
-        total = weights[0] * distributions[0].amplitude(k)
-        for d, w in zip(distributions[1:], weights[1:]):
-            total = total + w * d.amplitude(k)
-        return total
+        return a * beam.amplitude(k) + b * partner.amplitude(k)
 
-    axes = [d.support_axis for d in distributions]
-    axis = None
-    if all(a is not None for a in axes):
-        if all(abs(abs(np.dot(a, axes[0])) - 1.0) < 1e-12 for a in axes):
-            axis = axes[0]
-    return AngularDistribution(label, func, support_axis=axis)
+    return AngularDistribution(func, support_axis=beam.support_axis)

@@ -108,28 +108,24 @@ def parse_db_range(text):
 
 
 def parse_beam_spec(text) -> dict:
-    """Parse `na=0.9,axis=-z,pol=0` into beam parameters plus a label."""
-    params = {"na": None, "axis": AXIS_TOKENS["-z"], "polarization_angle": 0.0}
-    label_axis = "-z"
-    for item in str(text).split(","):
-        if "=" not in item:
-            raise ConfigError(f"beam spec item {item!r} is not key=value")
-        key, value = (p.strip() for p in item.split("=", 1))
-        if key == "na":
-            params["na"] = parse_number(value, "beam na")
-        elif key == "axis":
-            if value not in AXIS_TOKENS:
-                raise ConfigError(f"beam axis must be one of {sorted(AXIS_TOKENS)}")
-            params["axis"] = AXIS_TOKENS[value]
-            label_axis = value
-        elif key == "pol":
-            params["polarization_angle"] = parse_number(value, "beam pol")
-        else:
+    """Parse `na=0.9,axis=-z,pol=0` into beam parameters plus a label; a
+    repeated key is a ConfigError."""
+    given = _named_values(str(text).split(","), "beam", lambda value, name: value)
+    for key in given:
+        if key not in ("na", "axis", "pol"):
             raise ConfigError(f"unknown beam parameter {key!r}")
-    if params["na"] is None:
+    if "na" not in given:
         raise ConfigError("beam spec requires na=")
-    params["label"] = f"na{params['na']:g}_{label_axis.lstrip('+')}"
-    return params
+    axis = given.get("axis", "-z")
+    if axis not in AXIS_TOKENS:
+        raise ConfigError(f"beam axis must be one of {sorted(AXIS_TOKENS)}")
+    na = parse_number(given["na"], "beam na")
+    return {
+        "na": na,
+        "axis": AXIS_TOKENS[axis],
+        "polarization_angle": parse_number(given.get("pol", "0"), "beam pol"),
+        "label": f"na{na:g}_{axis.lstrip('+')}",
+    }
 
 
 class Opt(NamedTuple):

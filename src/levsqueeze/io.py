@@ -24,7 +24,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import NumericalFailure
+from .errors import ConfigError, NumericalFailure
 
 NUMBER_FORMAT = "%.12g"
 CSV_BLOCK_CELLS = 8192
@@ -233,10 +233,14 @@ def _format_block(cells, ends):
 
 def _atomic_write(path, parts):
     """Write the bytes of the iterable `parts` to a temp file, then rename
-    it to `path`; an exception while writing leaves no file behind."""
+    it to `path`; an exception while writing leaves no file behind. A
+    directory that cannot be made or written into is a ConfigError."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
     try:
         with os.fdopen(fd, "wb") as handle:
             for part in parts:

@@ -135,11 +135,11 @@ def irp_grid(cfg: ScatterConfig, n_theta=181, n_phi=360) -> IRPGrid:
     grid = np.empty((n_theta, n_phi, len(IRP_COLUMNS)))
     grid[..., 0] = theta[:, None]
     grid[..., 1] = phi
-    tt, pp, dsigma, irp, fp2, fm2 = np.moveaxis(grid, -1, 0)
+    dsigma, irp, fp2, fm2 = np.moveaxis(grid[..., 2:], -1, 0)
     rows = max(1, BLOCK // n_phi)
     for start in range(0, n_theta, rows):
         block = slice(start, start + rows)
-        k = spherical_basis(tt[block].ravel(), pp[block].ravel())[0]
+        k = spherical_basis(theta[block], phi)
         fp2[block], fm2[block] = (sums.reshape(-1, n_phi) for sums in _polarization_sums(cfg, k))
         np.subtract(fp2[block], fm2[block], out=dsigma[block])
         np.divide(dsigma[block], total, out=irp[block])

@@ -42,6 +42,14 @@ class SqueezeParams:
         object.__setattr__(self, "phi_s", float(self.phi_s) % (2.0 * np.pi))
 
 
+class OverlapBoundError(ConfigError):
+    """An overlap modulus above 1; `xi` holds the overlap."""
+
+    def __init__(self, xi):
+        super().__init__(f"overlap modulus {abs(xi):.6g} exceeds 1")
+        self.xi = xi
+
+
 @dataclass(frozen=True)
 class OverlapResult:
     """Complex overlap between beam and mode pattern."""
@@ -50,7 +58,7 @@ class OverlapResult:
 
     def __post_init__(self):
         if abs(self.xi) > 1.0 + OVERLAP_BOUND_TOLERANCE:
-            raise ConfigError(f"overlap modulus {abs(self.xi):.6g} exceeds 1")
+            raise OverlapBoundError(self.xi)
 
     @property
     def modulus(self):
@@ -84,9 +92,14 @@ def mode_overlap(beam: AngularDistribution, mode: AngularDistribution, rule=DEFA
 
 def checked_overlap(kind: str, axis: str, beam: dict, rule: QuadratureRule) -> tuple[OverlapResult, float]:
     """The exact overlap xi of make_beam(**beam) with make_mode(kind, axis),
-    and its quadrature error: the distance of their mode_overlap on `rule`."""
+    and its quadrature error: the distance of their mode_overlap on `rule`,
+    which a rule too coarse for the beam may integrate to above 1."""
     xi = _bounded(gaussian_overlap(kind, axis, **beam))
-    return xi, abs(xi.xi - mode_overlap(make_beam(**beam), make_mode(kind, axis), rule).xi)
+    try:
+        integral = mode_overlap(make_beam(**beam), make_mode(kind, axis), rule).xi
+    except OverlapBoundError as exc:
+        integral = exc.xi
+    return xi, abs(xi.xi - integral)
 
 
 def relative_phase(xi: OverlapResult, sq: SqueezeParams, absolute_phase=True) -> float:
@@ -107,20 +120,17 @@ class InputSpectra:
     sxx: float
     syy: float
     scross: float
-    determinant: float | None = None  # det S in closed form, where |xi| and r are known
+    determinant: float  # det S in closed form, from |xi| and r
 
     def __post_init__(self):
         det = self.uncertainty_determinant
-        if self.determinant is None:
-            physical = det >= 1.0 - UNCERTAINTY_SLACK
-        else:
-            # The product of rounded spectra is resolved only to a relative
-            # precision of the terms it subtracts; the closed form carries
-            # the bound.
-            physical = (
-                self.determinant >= 1.0 - UNCERTAINTY_SLACK
-                and abs(det - self.determinant) <= UNCERTAINTY_SLACK * max(1.0, self.sxx * self.syy)
-            )
+        # The product of rounded spectra is resolved only to a relative
+        # precision of the terms it subtracts; the closed form carries the
+        # bound.
+        physical = (
+            self.determinant >= 1.0 - UNCERTAINTY_SLACK
+            and abs(det - self.determinant) <= UNCERTAINTY_SLACK * max(1.0, self.sxx * self.syy)
+        )
         if not physical:
             raise NumericalFailure(
                 f"input spectra violate the uncertainty bound (det = {det:.12g})"

@@ -76,14 +76,14 @@ def test_integrate_rejects_nonfinite_in_a_later_block():
         angular.integrate_sphere(bad, rule, axis=axis)
 
 
-def test_spherical_basis_orthonormal():
+def test_spherical_basis_is_the_theta_major_grid():
     theta = np.array([0.3, 1.2, 2.8])
-    phi = np.array([0.1, 2.0, 5.5])
-    e_k, e_t, e_p = angular.spherical_basis(theta, phi)
-    for a in (e_k, e_t, e_p):
-        assert np.allclose(np.sum(a * a, axis=0), 1.0)
-    assert np.allclose(np.sum(e_k * e_t, axis=0), 0.0, atol=1e-15)
-    assert np.allclose(np.cross(e_k.T, e_t.T), e_p.T)
+    phi = np.array([0.1, 2.0, 5.5, 6.0])
+    k = angular.spherical_basis(theta, phi)
+    assert np.allclose(np.sum(k * k, axis=0), 1.0)
+    tt, pp = np.meshgrid(theta, phi, indexing="ij")
+    pointwise = np.stack([np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)])
+    assert np.array_equal(k, pointwise.reshape(3, -1))
 
 
 def test_motion_patterns_normalized():
@@ -139,8 +139,8 @@ def test_beam_requires_valid_na():
 
 def test_beam_support_hemisphere():
     beam = angular.make_gaussian_beam(na=0.7, propagation_axis=[0, 0, -1])
-    forward = beam.amplitude(angular.spherical_basis([0.3], [0.0])[0])
-    backward = beam.amplitude(angular.spherical_basis([np.pi - 0.3], [0.0])[0])
+    forward = beam.amplitude(angular.spherical_basis([0.3], [0.0]))
+    backward = beam.amplitude(angular.spherical_basis([np.pi - 0.3], [0.0]))
     assert np.all(forward == 0.0)
     assert np.any(np.abs(backward) > 0.0)
 
@@ -174,14 +174,17 @@ def test_overlap_variants_differ_by_conjugation():
 def test_superpose_counterpropagating_keeps_axis():
     a = angular.make_gaussian_beam(na=0.5, propagation_axis=[0, 0, 1])
     b = angular.make_gaussian_beam(na=0.5, propagation_axis=[0, 0, -1])
-    mix = angular.superpose([a, b], [np.sqrt(0.5), np.sqrt(0.5)])
+    mix = angular.superpose(a, b, 0.5)
     assert mix.support_axis is not None
     assert abs(angular.overlap_hermitian(mix, mix) - 1.0) < 1e-12
 
 
 def test_make_mode_dispatches_on_kind():
-    assert angular.make_mode("motion", "x").label == "motion_x"
-    assert angular.make_mode("libration", "y").label == "libration_y"
+    k = angular.spherical_basis([0.3, 2.0], [0.1, 4.0])
+    motion = angular.make_mode("motion", "x").amplitude(k)
+    libration = angular.make_mode("libration", "y").amplitude(k)
+    assert np.array_equal(motion, angular.make_motion_distribution("x").amplitude(k))
+    assert np.array_equal(libration, angular.make_libration_distribution("y").amplitude(k))
     with pytest.raises(ConfigError):
         angular.make_mode("breathing", "z")
 
@@ -202,17 +205,20 @@ MODES = [("motion", "x"), ("motion", "y"), ("motion", "z"), ("libration", "y"), 
 
 
 def test_gaussian_overlap_matches_fine_quadrature():
-    # random modes, apertures, axes, polarizations and weights; at 256x512
-    # the quadrature resolves these beams to rounding
+    # random modes, apertures, axes, polarizations and weights; each rule
+    # resolves its beams to rounding, 1024x16 the narrow envelopes
     rng = np.random.default_rng(20)
-    fine = angular.QuadratureRule(256, 512)
-    for case in range(12):
-        kind, axis = MODES[case % len(MODES)]
-        na, direction = rng.uniform(0.2, 0.95), rng.normal(size=3)
-        pol, weight = rng.uniform(0.0, 2.0 * np.pi), (0.0, 1.0, rng.uniform())[case % 3]
-        exact = angular.gaussian_overlap(kind, axis, na, direction, pol, weight)
-        beam = angular.make_beam(na, direction, pol, weight)
-        assert abs(exact - angular.overlap(beam, angular.make_mode(kind, axis), fine)) < 1e-13
+    for na_range, rule, tolerance in (
+        ((0.2, 0.95), angular.QuadratureRule(256, 512), 1e-13),
+        ((0.01, 0.2), angular.QuadratureRule(1024, 16), 1e-12),
+    ):
+        for case in range(12):
+            kind, axis = MODES[case % len(MODES)]
+            na, direction = rng.uniform(*na_range), rng.normal(size=3)
+            pol, weight = rng.uniform(0.0, 2.0 * np.pi), (0.0, 1.0, rng.uniform())[case % 3]
+            exact = angular.gaussian_overlap(kind, axis, na, direction, pol, weight)
+            beam = angular.make_beam(na, direction, pol, weight)
+            assert abs(exact - angular.overlap(beam, angular.make_mode(kind, axis), rule)) < tolerance
 
 
 def test_envelope_moments_closed_forms():

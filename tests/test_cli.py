@@ -129,6 +129,23 @@ def test_exit_code_config_error(tmp_path):
     assert main(["--out", str(tmp_path), "unknown-command"]) == 2
 
 
+@pytest.mark.parametrize("command", [None, *OPTIONS])
+def test_help_names_every_option(capsys, command):
+    assert main([command, "--help"] if command else ["--help"]) == 0
+    text = capsys.readouterr().out
+    for opt in cli.COMMON if command is None else OPTIONS[command]:
+        assert (opt.flag or "--" + opt.name.replace("_", "-")) in text
+
+
+def test_out_naming_a_file_exits_2(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("")
+    assert run(target, "recoil", "--db", "15") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and str(target) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -152,6 +169,7 @@ def test_exit_code_config_error(tmp_path):
         ["--seed", "-1", "optimize", "--free", "na=0.1:0.9"],
         ["sensitivity", "--xi", "-0.5"],
         ["wigner", "--source", "input", "--xi", "-0.5"],
+        ["recoil", "--beam", "na=0.5,na=0.7"],
     ],
 )
 def test_bad_numbers_exit_2(tmp_path, args):
@@ -392,6 +410,19 @@ def test_unresolved_beam_irp_matches_fine_rule(tmp_path, capsys):
     meta = json.loads((tmp_path / "default" / "irp_meta.json").read_text())
     assert abs(meta["normalization"] - meta["ratio"]) < 5e-4
     assert meta["quadrature_error"] > 1e-8
+
+
+def test_coarse_rule_overlap_is_flagged_not_rejected(tmp_path, capsys):
+    # at 2x2 the check's integral of this overlap has a modulus above 1; the
+    # search and its exact overlap do not use the rule
+    args = ["optimize", "--kind", "libration", "--axis", "y", "--free", "weight=0:1", "--fixed", "na=1",
+            "--fixed", "polarization_angle=pi/2", "--budget", "3"]
+    assert run(tmp_path / "default", *args) == 0
+    assert run(tmp_path / "coarse", "--quad", "2x2", *args) == 0
+    assert "warning: best point" in capsys.readouterr().err
+    default, coarse = (json.loads((tmp_path / q / "optimize_result.json").read_text()) for q in ("default", "coarse"))
+    assert coarse["xi_modulus"] == default["xi_modulus"]
+    assert coarse["quadrature_error"] > 0.1
 
 
 def test_narrow_beam_overlap_exact_and_flagged(tmp_path, capsys):

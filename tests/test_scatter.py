@@ -6,8 +6,9 @@ from levsqueeze.errors import ConfigError, NumericalFailure
 
 
 def direction(theta, phi):
-    """Unit propagation vectors at the given angles, shape (3, n)."""
-    return angular.spherical_basis(np.atleast_1d(theta), np.atleast_1d(phi))[0]
+    """Unit propagation vectors at the given angles, pointwise, shape (3, n)."""
+    theta, phi = np.atleast_1d(theta), np.atleast_1d(phi)
+    return np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
 
 
 def make_config(na=0.9, axis="z", kind="motion", db=15.0, phi=0.0, beam_axis=(0, 0, -1)):
@@ -71,7 +72,7 @@ def test_perfect_overlap_strong_squeezing_kills_scattering():
     # a beam profile identical to the mode pattern gives |xi| = 1; at the
     # optimal phase and large r the scattered power vanishes pointwise
     mode = angular.make_motion_distribution("z")
-    beam = angular.AngularDistribution("mode_clone", mode.amplitude)
+    beam = angular.AngularDistribution(mode.amplitude)
     sq = squeeze.SqueezeParams(r_s=3.0, phi_s=0.0)
     cfg = scatter.ScatterConfig(mode=mode, beam=beam, sq=sq, absolute_phase=False)
     assert cfg.xi.modulus == pytest.approx(1.0, abs=1e-10)
@@ -83,7 +84,7 @@ def test_perfect_overlap_strong_squeezing_kills_scattering():
 def test_squeezing_coefficient_matches_ratio_at_high_squeezing():
     # 2 Re(conj(xi) g) = ratio - 1 for a beam identical to the mode (|xi| = 1)
     mode = angular.make_motion_distribution("z")
-    beam = angular.AngularDistribution("mode_clone", mode.amplitude)
+    beam = angular.AngularDistribution(mode.amplitude)
     for db in range(0, 81, 5):
         sq = squeeze.SqueezeParams(r_s=squeeze.db_to_r(db), phi_s=0.0)
         cfg = scatter.ScatterConfig(mode=mode, beam=beam, sq=sq, absolute_phase=False)
@@ -122,7 +123,8 @@ def test_irp_grid_blocks_match_one_shot(n_theta, n_phi, monkeypatch):
     sizes = []
 
     def spy(theta, phi):
-        sizes.append(theta.size)
+        assert phi.size == n_phi
+        sizes.append(theta.size * phi.size)
         return angular.spherical_basis(theta, phi)
 
     monkeypatch.setattr(scatter, "spherical_basis", spy)

@@ -72,10 +72,11 @@ def test_overlap_modulus_bound():
 
 
 def test_input_spectra_reject_unphysical_at_any_scale():
-    # a slack relative to sxx * syy would exceed 1 here and let det 0 through
+    # det 0 at any scale: the slack relative to sxx * syy exceeds 1 here,
+    # so the closed form, not the product, rejects it
     for value in (1e5, 1e9):
         with pytest.raises(NumericalFailure):
-            squeeze.InputSpectra(sxx=value, syy=value, scross=value)
+            squeeze.InputSpectra(sxx=value, syy=value, scross=value, determinant=0.0)
     # spectra that disagree with the closed-form determinant they carry
     with pytest.raises(NumericalFailure):
         squeeze.InputSpectra(sxx=2.0, syy=2.0, scross=0.0, determinant=1.0)
@@ -86,6 +87,16 @@ def test_input_spectra_reject_unphysical_at_any_scale():
     pure = squeeze.pure_spectra(10.0, 0.3)
     assert pure.determinant == 1.0
     assert pure.uncertainty_determinant < 1.0 - squeeze.UNCERTAINTY_SLACK
+
+
+def test_spectra_determinant_is_the_product_of_the_spectra_at_low_r(rng):
+    # at r <= 0.5 the product of the rounded spectra resolves det S to
+    # rounding, an independent check of the closed form
+    for _ in range(1000):
+        xi = squeeze.OverlapResult(xi=rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
+        sq = squeeze.SqueezeParams(r_s=rng.uniform(0, 0.5), phi_s=rng.uniform(0, 2 * np.pi))
+        product = squeeze.input_spectra(xi, sq).uncertainty_determinant
+        assert abs(squeeze.spectra_determinant(xi, sq.r_s) - product) < 1e-14
 
 
 def test_recoil_sweep_perfect_column():
