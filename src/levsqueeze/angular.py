@@ -163,8 +163,12 @@ class AngularDistribution:
 
     `amplitude(k) -> (3, n)` gives the complex Cartesian field at the unit
     vectors k; the integral over the sphere of its squared modulus is 1.
-    The amplitude vanishes outside the hemisphere centered on the unit
-    `support_axis`, if one is given.
+    The unit `support_axis`, if one is given, is the polar axis of the
+    frame that sphere integrals of the distribution use: the rule splits
+    its theta nodes between the two hemispheres about it, so the edge of a
+    beam's hemisphere falls between node rows. A make_beam beam vanishes
+    outside that hemisphere; a pair from `superpose` keeps the first
+    beam's axis, and its partner lives on the opposite hemisphere.
     """
 
     amplitude: Callable[[np.ndarray], np.ndarray]

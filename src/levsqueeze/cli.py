@@ -30,12 +30,11 @@ import numpy as np
 from click.core import ParameterSource
 
 from . import detect, physics, scatter, squeeze
-from .angular import QuadratureRule, make_beam, make_mode
+from .angular import DEFAULT_RULE, QuadratureRule, make_beam, make_mode
 from .errors import ConfigError, NumericalFailure
 from .io import write_csv, write_json
 from .optimize import OptimizationProblem, optimize as run_optimize
 
-CONFIG_DIR_ENV = "LEVSQUEEZE_CONFIG_DIR"
 # Config sections of physics inputs, by the dataclass each one builds.
 PHYSICS_SECTIONS = {"laser": physics.Laser, "particle": physics.Particle, "rotor": physics.Rotor}
 # Largest quadrature error of a reported overlap that passes without a warning.
@@ -144,7 +143,7 @@ DB = Opt("db", "15", "Squeezing in dB.")
 OFFSET = Opt("phase", "0", "Phase offset phi_s - 2 arg(xi); pi-literals allowed.")
 
 COMMON = (
-    Opt("quad", "64x128", "Quadrature NTHETAxNPHI."),
+    Opt("quad", f"{DEFAULT_RULE.n_theta}x{DEFAULT_RULE.n_phi}", "Quadrature NTHETAxNPHI."),
     Opt("seed", 0, "Accepted and echoed in the config; no stage is random."),
 )
 OPTIONS = {
@@ -169,8 +168,8 @@ OPTIONS = {
         Opt("xi", 1.0, "Overlap modulus |xi|."),
         DB,
         OFFSET._replace(default="3pi/2"),
-        Opt("omega_ratio", 1e-3, "omega / mode frequency."),
-        Opt("gamma_ratio", 1e-6, "damping / mode frequency."),
+        Opt("omega_ratio", detect.LOW_FREQ_OMEGA_RATIO, "omega / mode frequency."),
+        Opt("gamma_ratio", detect.LOW_FREQ_DAMPING_RATIO, "damping / mode frequency."),
         Opt("u_range", "1e-4:1e4:200", "Log grid lo:hi:n for the measurement strength.", "--u"),
         Opt("heatmap", False, "Emit the (e^2r, |xi|^2) optimal-sensitivity table instead of a u-curve."),
         Opt("heatmap_grid", "25x26", "Heatmap resolution N_E2RxN_XI2."),
@@ -241,14 +240,8 @@ def _with_options(opts):
 
 
 def load_config(path):
-    """The config file at `path` (or in $LEVSQUEEZE_CONFIG_DIR), checked,
-    with each physics section built into its `physics` dataclass."""
-    if path is None:
-        directory = os.environ.get(CONFIG_DIR_ENV)
-        if directory:
-            default = os.path.join(directory, "config.json")
-            if os.path.exists(default):
-                path = default
+    """The config file at `path`, checked, with each physics section built
+    into its `physics` dataclass."""
     if path is None:
         return {}
     try:
@@ -542,6 +535,10 @@ def main(argv=None):
         return 2
     except ConfigError as exc:
         click.echo(f"configuration error: {exc}", err=True)
+        return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        click.echo(f"configuration error: out of memory for the requested sizes{detail}", err=True)
         return 2
     except (NumericalFailure, OverflowError) as exc:
         click.echo(f"numerical failure: {exc}", err=True)

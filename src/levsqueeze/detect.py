@@ -16,11 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalFailure
-from .squeeze import InputSpectra, OverlapResult, SqueezeParams, input_spectra, spectra_determinant
+from .squeeze import OVERLAP_BOUND_TOLERANCE, InputSpectra, OverlapResult, SqueezeParams, input_spectra, spectra_determinant
 
 # "omega << Omega" idealization: |Re chi/chi| differs from 1 by < 1e-6 here
 LOW_FREQ_OMEGA_RATIO = 1e-3
 LOW_FREQ_DAMPING_RATIO = 1e-6
+WIGNER_HALF_WIDTH_SIGMAS = 8.0  # half width of the Wigner window, in sigmas of the wider quadrature
 
 
 @dataclass(frozen=True)
@@ -105,7 +106,7 @@ def s_min_opt_u_phase(xi_modulus: float, r_s: float, chi: Susceptibility):
     when c^2 D <= b^2 (1 - c^2). Otherwise it is a - |c| b, at sin Phi = -1
     (3 pi/2) when Re chi_tilde >= 0 (below resonance) and +1 (pi/2) above.
     """
-    if not 0.0 <= xi_modulus <= 1.0 + 1e-10:
+    if not 0.0 <= xi_modulus <= 1.0 + OVERLAP_BOUND_TOLERANCE:
         raise ConfigError("overlap modulus must lie in [0, 1]")
     cosr = chi.cos_response
     m2 = xi_modulus**2
@@ -166,7 +167,7 @@ def wigner_covariance(source: str, *, r: float, phi: float, xi: complex = 1.0):
     return cov, s.determinant
 
 
-def wigner_grid(cov: np.ndarray, det: float, n: int = 201, half_width_sigmas: float = 8.0):
+def wigner_grid(cov: np.ndarray, det: float, n: int):
     """Gaussian Wigner function on a square grid around the origin.
 
     det is the determinant of cov; the inverse is the adjugate over it.
@@ -177,7 +178,7 @@ def wigner_grid(cov: np.ndarray, det: float, n: int = 201, half_width_sigmas: fl
     if n < 2:
         raise ConfigError("Wigner grid needs at least 2 points per axis")
     sigma = math.sqrt(max(cov[0, 0], cov[1, 1]))
-    half = half_width_sigmas * sigma
+    half = WIGNER_HALF_WIDTH_SIGMAS * sigma
     x = np.linspace(-half, half, n)
     xx, yy = np.meshgrid(x, x, indexing="ij")
     # the quadratic form (x, y) cov^-1 (x, y)^T; rebinding w frees it before the table is built

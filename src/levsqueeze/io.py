@@ -234,7 +234,8 @@ def _format_block(cells, ends):
 def _atomic_write(path, parts):
     """Write the bytes of the iterable `parts` to a temp file, then rename
     it to `path`; an exception while writing leaves no file behind. A
-    directory that cannot be made or written into is a ConfigError."""
+    directory that cannot be made or written into, and a `path` the rename
+    cannot replace (a directory, say), are ConfigErrors."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     try:
         os.makedirs(directory, exist_ok=True)
@@ -245,7 +246,10 @@ def _atomic_write(path, parts):
         with os.fdopen(fd, "wb") as handle:
             for part in parts:
                 handle.write(part)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}") from None
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

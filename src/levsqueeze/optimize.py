@@ -208,7 +208,7 @@ def _zoom(best, width, lower, upper):
     return best - half, best, best + half
 
 
-def optimize(problem: OptimizationProblem, budget: int = 200) -> OptimizationResult:
+def optimize(problem: OptimizationProblem, budget: int) -> OptimizationResult:
     """Grid search over the free outer parameters, 3 points per dimension,
     halving the box around the best point each round; polarization and
     weight are exact at each point. Deterministic; a point that a later

@@ -74,7 +74,6 @@ class Rotor:
     alpha_parallel: float  # F m^2, long-axis polarizability
     alpha_perp: float  # F m^2, transverse polarizability
     moment_of_inertia: float  # kg m^2
-    permittivity: float
     volume: float  # m^3
 
     def __post_init__(self):
@@ -83,8 +82,6 @@ class Rotor:
             raise ConfigError("rotor requires alpha_parallel > alpha_perp > 0")
         if self.moment_of_inertia <= 0:
             raise ConfigError("moment of inertia must be positive")
-        if self.permittivity <= 1:
-            raise ConfigError("relative permittivity must exceed 1")
         if self.volume <= 0:
             raise ConfigError("rotor volume must be positive")
 

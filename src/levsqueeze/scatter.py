@@ -112,7 +112,7 @@ class IRPGrid:
     metadata: dict
 
 
-def irp_grid(cfg: ScatterConfig, n_theta=181, n_phi=360) -> IRPGrid:
+def irp_grid(cfg: ScatterConfig, n_theta, n_phi) -> IRPGrid:
     """Tabulate d sigma / d Omega and the normalized IRP.
 
     The normalization integral is evaluated first, with the configured

@@ -124,13 +124,11 @@ class InputSpectra:
 
     def __post_init__(self):
         det = self.uncertainty_determinant
-        # The product of rounded spectra is resolved only to a relative
-        # precision of the terms it subtracts; the closed form carries the
+        # The product of rounded spectra equals the closed form only to a few
+        # roundings of the terms it subtracts; the closed form carries the
         # bound.
-        physical = (
-            self.determinant >= 1.0 - UNCERTAINTY_SLACK
-            and abs(det - self.determinant) <= UNCERTAINTY_SLACK * max(1.0, self.sxx * self.syy)
-        )
+        rounding = 16.0 * np.finfo(float).eps * (self.sxx * self.syy + self.scross**2 + self.determinant)
+        physical = self.determinant >= 1.0 - UNCERTAINTY_SLACK and abs(det - self.determinant) <= rounding
         if not physical:
             raise NumericalFailure(
                 f"input spectra violate the uncertainty bound (det = {det:.12g})"

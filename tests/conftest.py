@@ -26,6 +26,5 @@ def rotor():
         alpha_parallel=6.0e-33,
         alpha_perp=4.0e-33,
         moment_of_inertia=1.0e-31,
-        permittivity=2.1,
         volume=2.0e-21,
     )

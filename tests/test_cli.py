@@ -146,6 +146,43 @@ def test_out_naming_a_file_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_artifact_name_taken_by_a_directory_exits_2(tmp_path, capsys):
+    (tmp_path / "recoil.csv").mkdir()
+    assert run(tmp_path, "recoil", "--db", "3") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot write ") and str(tmp_path / "recoil.csv") in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+# main in a new interpreter whose address space may grow by 1 GiB past what
+# it holds once levsqueeze (and numpy's thread pool) is loaded, so an
+# oversized request fails at once, whatever the host's overcommit policy
+CAPPED_MAIN = """import os, resource, sys
+from levsqueeze.cli import main
+limit = int(open("/proc/self/statm").read().split()[0]) * os.sysconf("SC_PAGE_SIZE") + (1 << 30)
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.exit(main(sys.argv[1:]))"""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["wigner", "--grid-n", "100000"],  # 74.5 GiB
+        ["irp", "--grid", "100000x100000"],  # 447 GiB
+        ["sensitivity", "--u", "1e-4:1e4:1000000000"],  # 7.45 GiB
+    ],
+    ids=["wigner", "irp", "sensitivity"],
+)
+def test_sizes_beyond_memory_exit_2(tmp_path, args):
+    out = tmp_path / "out"
+    proc = fresh_python(CAPPED_MAIN, "--out", str(out), *args)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("configuration error: out of memory for the requested sizes: Unable to allocate")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -658,19 +695,18 @@ def test_flag_beats_config(tmp_path):
     assert float(lines[1].split(",")[0]) == 0.0
 
 
-def test_env_var_config_dir(tmp_path, monkeypatch):
+def test_config_dir_variable_changes_nothing(tmp_path, monkeypatch):
+    # --config names the only config file: a config.json in the directory
+    # that LEVSQUEEZE_CONFIG_DIR names is not read
     cfg_dir = tmp_path / "cfg"
     cfg_dir.mkdir()
-    (cfg_dir / "config.json").write_text(
-        json.dumps({"recoil": {"db": "5", "perfect_overlap": True}})
-    )
+    (cfg_dir / "config.json").write_text(json.dumps({"recoil": {"db": "5", "perfect_overlap": True}}))
+    monkeypatch.delenv("LEVSQUEEZE_CONFIG_DIR", raising=False)
+    assert run(tmp_path / "plain", "recoil") == 0
     monkeypatch.setenv("LEVSQUEEZE_CONFIG_DIR", str(cfg_dir))
-    out = tmp_path / "out"
-    out.mkdir()
-    assert main(["--out", str(out), "recoil"]) == 0
-    lines = (out / "recoil.csv").read_text().strip().split("\n")
-    assert len(lines) == 2
-    assert float(lines[1].split(",")[0]) == 5.0
+    assert run(tmp_path / "variable", "recoil") == 0
+    for name in os.listdir(tmp_path / "plain"):
+        assert filecmp.cmp(tmp_path / "plain" / name, tmp_path / "variable" / name, shallow=False), name
 
 
 def test_derived_report_in_outputs(tmp_path):
@@ -692,7 +728,7 @@ def test_derived_report_in_outputs(tmp_path):
 
 LASER = {"power": 0.5, "waist": 0.7e-6, "wavelength": 1.064e-6}
 PARTICLE = {"radius": 70e-9, "density": 2200.0, "permittivity": 2.1}
-ROTOR = {"alpha_parallel": 6.0e-33, "alpha_perp": 4.0e-33, "moment_of_inertia": 1.0e-31, "permittivity": 2.1, "volume": 2.0e-21}
+ROTOR = {"alpha_parallel": 6.0e-33, "alpha_perp": 4.0e-33, "moment_of_inertia": 1.0e-31, "volume": 2.0e-21}
 
 
 def recoil_in_fresh_python(tmp_path, physics):
@@ -772,7 +808,8 @@ def test_paraxial_warning_names_the_laser_section_once(tmp_path, capsys):
         ({"laser": {**LASER, "power": "1"}}, False),
         ({"laser": {**LASER, "power": True}}, False),
         ({"laser": {**LASER, "power": 0}}, False),
-        ({"rotor": {**ROTOR, "permittivity": 1}}, False),
+        # no formula reads a rotor permittivity: the key is unknown
+        ({"rotor": {**ROTOR, "permittivity": 2.1}}, False),
         # the Rotor bound holds without a laser section too
         ({"rotor": {**ROTOR, "alpha_perp": 7.0e-33}}, False),
     ],

@@ -26,11 +26,6 @@ def test_physics_inputs_reject_non_numbers(request, inputs, value):
         type(valid)(**{**vars(valid), field: value})
 
 
-def test_rotor_permittivity_exceeds_one(rotor):
-    with pytest.raises(ConfigError):
-        physics.Rotor(**{**vars(rotor), "permittivity": 1.0})
-
-
 def test_alpha0_linearity(laser):
     doubled = physics.Laser(
         power=2 * laser.power, waist=laser.waist, wavelength=laser.wavelength
@@ -105,7 +100,6 @@ def test_isotropic_rotor_rejected(laser):
             alpha_parallel=4.0e-33,
             alpha_perp=4.0e-33,
             moment_of_inertia=1e-31,
-            permittivity=2.1,
             volume=2e-21,
         )
 

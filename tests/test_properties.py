@@ -3,10 +3,13 @@
 For an overlap modulus m in [0, 1], a squeezing degree r in [0, 10] and any
 phase offset Phi, the input spectra must respect the recoil-ratio bounds,
 the uncertainty bound det S >= 1 (with equality for the pure state m = 1)
-and 2 pi periodicity; the bare squeezed mode has determinant 1. The exact
-overlap of any Gaussian beam with any mode pattern is at most 1 in modulus,
-and over any box of polarization angle and weight its squared modulus lies
-between the closed-form extremes the beam search uses.
+and 2 pi periodicity; the bare squeezed mode has determinant 1. Up to 200
+dB every input_spectra result passes InputSpectra's own consistency check,
+and the closed-form optimum over the measurement strength u is the minimum
+of a dense scan of s_min over u. The exact overlap of any Gaussian beam
+with any mode pattern is at most 1 in modulus, and over any box of
+polarization angle and weight its squared modulus lies between the
+closed-form extremes the beam search uses.
 
 A 2x2 determinant of rounded spectra is resolved only to a relative
 precision of the products it subtracts, so determinant checks scale their
@@ -59,6 +62,19 @@ def test_uncertainty_bound(m, r, phi):
     assert s.uncertainty_determinant >= 1.0 - det_tolerance(s)
     pure = spectra(1.0, r, phi)
     assert pure.uncertainty_determinant == pytest.approx(1.0, abs=det_tolerance(pure))
+
+
+@DETERMINISTIC
+@given(
+    m=st.one_of(st.sampled_from([0.0, 1.0]), moduli),
+    db=st.one_of(st.sampled_from([0.0, 200.0]), st.floats(min_value=0.0, max_value=200.0)),
+    phi=st.one_of(st.sampled_from([0.0, math.pi]), phases),
+)
+def test_input_spectra_pass_their_own_consistency_check(m, db, phi):
+    # InputSpectra raises NumericalFailure when sxx syy - scross^2 - det S
+    # exceeds the rounding of its terms; every spectrum input_spectra builds
+    # must pass, up to 200 dB
+    spectra(m, squeeze.db_to_r(db), phi)
 
 
 @DETERMINISTIC
@@ -123,6 +139,41 @@ def test_phase_optimal_sensitivity_is_the_phase_scan_minimum(m, db, omega, gamma
     assert value == pytest.approx(phase_scan_minimum(m, r, chi), rel=1e-9)
     # the returned phase reaches that value
     assert detect.s_min_opt_u(spectra(m, r, phi_opt), chi)[1] == pytest.approx(value, rel=1e-9)
+
+
+def u_scan_minimum(s, chi):
+    """The u of the smallest s_min on a log-spaced scan over 1e-7..1e7, and
+    that value, refined three times by a scan 100 times denser between the
+    best point's two neighbours."""
+    u = np.geomspace(1e-7, 1e7, 1401)
+    for refinement in range(4):
+        rows = detect.sensitivity_curve(s, chi, u)
+        best = int(np.argmin([value for _, value in rows]))
+        if refinement == 0:
+            assert 0 < best < len(u) - 1, "the scan must bracket the optimum"
+        u_best, value = rows[best]
+        u = np.geomspace(u[max(best - 1, 0)], u[min(best + 1, len(u) - 1)], 201)
+    return u_best, value
+
+
+@DETERMINISTIC
+@given(
+    m=st.one_of(st.sampled_from([0.0, 1.0]), moduli),
+    db=st.floats(min_value=0.0, max_value=30.0),
+    phi=phases,
+    omega=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.99)),
+    gamma=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)),
+)
+def test_closed_form_u_optimum_is_the_u_scan_minimum(m, db, phi, omega, gamma):
+    # over what `sensitivity` accepts up to 30 dB with omega below the mode
+    # frequency; s_min along u, not the closed form, is the oracle. The last
+    # scan steps by a factor 1 + 2e-8, where s_min is flat to rounding.
+    s = spectra(m, squeeze.db_to_r(db), phi)
+    chi = detect.Susceptibility(omega=omega, mode_frequency=1.0, damping=gamma)
+    u_opt, value = detect.s_min_opt_u(s, chi)
+    u_best, scanned = u_scan_minimum(s, chi)
+    assert value == pytest.approx(scanned, abs=1e-14 * (s.sxx + s.syy + abs(s.scross)))
+    assert u_best == pytest.approx(u_opt, rel=1e-6)
 
 
 MODES = [("motion", "x"), ("motion", "y"), ("motion", "z"), ("libration", "y"), ("libration", "z")]

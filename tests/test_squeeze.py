@@ -77,7 +77,10 @@ def test_input_spectra_reject_unphysical_at_any_scale():
     for value in (1e5, 1e9):
         with pytest.raises(NumericalFailure):
             squeeze.InputSpectra(sxx=value, syy=value, scross=value, determinant=0.0)
-    # spectra that disagree with the closed-form determinant they carry
+    # spectra that disagree with the closed-form determinant they carry, also
+    # where sxx * syy is 1e10: its product 0 is 1 away, far beyond rounding
+    with pytest.raises(NumericalFailure):
+        squeeze.InputSpectra(sxx=1e5, syy=1e5, scross=1e5, determinant=1.0)
     with pytest.raises(NumericalFailure):
         squeeze.InputSpectra(sxx=2.0, syy=2.0, scross=0.0, determinant=1.0)
     with pytest.raises(NumericalFailure):

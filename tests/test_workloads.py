@@ -2,9 +2,10 @@
 and checked against the paper's closed forms by that command's own check
 in perfbench/workloads.py; the two beam searches also at full size, where
 the check includes the reference optimum; one command through the
-benchmark's traced path, perfbench/traced.py; and that path's wrapping of
-every traced function."""
+benchmark's traced path, perfbench/traced.py; that path's wrapping of
+every traced function; and the fast checks of perfbench/selfcheck.py."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -82,3 +83,13 @@ def test_every_traced_name_resolves():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_self_checks(monkeypatch):
+    # the fast checks of perfbench/selfcheck.py: the self-time arithmetic of
+    # a synthetic span tree, and BENCHMARK.json against traced.PER_LAYER and
+    # the workload names; its reduced passes are run by hand
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    selfcheck = importlib.import_module("selfcheck")
+    selfcheck.check_span_arithmetic()
+    selfcheck.check_benchmark_file()
