@@ -23,6 +23,7 @@ sphere quadrature and is exact for beams any rule may fail to resolve.
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -59,27 +60,27 @@ def spherical_basis(theta, phi):
 
 
 def rotation_to_axis(axis):
-    """Rotation matrix mapping e_z onto `axis` (minimal rotation).
+    """Rotation matrix R mapping e_z onto the unit `axis` n (minimal rotation).
 
-    For axis == -e_z the rotation axis is degenerate; the convention is a
-    rotation about e_y by pi.
+    Its columns are u = R e_x, v = R e_y and n: the transverse frame of a
+    beam along n, whose polarization angle is measured from u towards v.
+    With n = (x, y, z) and h = 1 / (1 + z), u = (1 - h x^2, -h x y, -x) and
+    v = (-h x y, 1 - h y^2, -y); for z < 0, h = (1 - z) / (x^2 + y^2), so
+    nothing cancels near -e_z. For axis == -e_z the rotation axis is
+    degenerate; the convention is a rotation about e_y by pi.
     """
-    n = np.asarray(axis, dtype=float)
-    norm = np.linalg.norm(n)
+    x, y, z = np.asarray(axis, dtype=float).tolist()
+    norm = math.hypot(x, y, z)
     if norm == 0.0:
         raise ConfigError("axis vector must be nonzero")
-    n = n / norm
-    cross = np.cross([0.0, 0.0, 1.0], n)
-    s = np.linalg.norm(cross)
-    c = n[2]
-    if s < 1e-14:
-        if c > 0.0:
+    x, y, z = x / norm, y / norm, z / norm
+    s2 = x * x + y * y
+    if math.sqrt(s2) < 1e-14:
+        if z > 0.0:
             return np.eye(3)
         return np.diag([-1.0, 1.0, -1.0])  # rotation about e_y by pi
-    k = cross / s
-    K = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
-    angle = np.arctan2(s, c)
-    return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
+    h = 1.0 / (1.0 + z) if z >= 0.0 else (1.0 - z) / s2
+    return np.array([[1.0 - h * x * x, -h * x * y, x], [-h * x * y, 1.0 - h * y * y, y], [-x, -y, z]])
 
 
 @functools.lru_cache(maxsize=32)
@@ -247,16 +248,6 @@ def make_mode(kind, axis):
     return (make_motion_distribution if kind == "motion" else make_libration_distribution)(axis)
 
 
-def beam_frame(axis):
-    """Transverse unit vectors (u, v) completing the beam axis to a frame.
-
-    u = R e_x, v = R e_y with R the minimal rotation mapping e_z onto the
-    axis; the polarization angle is measured from u towards v.
-    """
-    rot = rotation_to_axis(axis)
-    return rot[:, 0], rot[:, 1]
-
-
 def _beam_axis(na, propagation_axis):
     """Unit propagation axis of a Gaussian beam; checks na and the axis."""
     if not (0.0 < na <= 1.0):
@@ -277,7 +268,7 @@ def make_gaussian_beam(na, propagation_axis, polarization_angle=0.0):
     overlaps with the mode patterns exactly.
     """
     n = _beam_axis(na, propagation_axis)
-    u, v = beam_frame(n)
+    u, v = rotation_to_axis(n)[:, :2].T
     pol_vec = (np.cos(polarization_angle) * u + np.sin(polarization_angle) * v) / _beam_norm(na)
 
     def func(k):
@@ -374,7 +365,7 @@ def overlap_form(kind, mode_axis, na, axis=(0.0, 0.0, -1.0)):
 
     c is minus the pattern prefactor C, so arg xi is set by the mode. Row 0
     of the real 2x2 R is the beam along n, row 1 its partner along -n;
-    columns are polarization e along u and v of that beam's beam_frame.
+    columns are polarization e along u and v of rotation_to_axis at its axis.
     Each entry is _pattern_moment, the sphere integral of the beam field
     times the pattern over C (motion along mu:
     e_x n_mu F1 - delta (n_x e_mu + n_mu e_x) - e_x (F0 - beta) [mu = z];
@@ -386,7 +377,7 @@ def overlap_form(kind, mode_axis, na, axis=(0.0, 0.0, -1.0)):
     mu = "xyz".index(mode_axis)
     n = _beam_axis(na, axis)
     moments = envelope_moments(na)
-    rows = [[_pattern_moment(kind, mu, d, e, moments) for e in beam_frame(d)] for d in (n, -n)]
+    rows = [[_pattern_moment(kind, mu, d, e, moments) for e in rotation_to_axis(d)[:, :2].T] for d in (n, -n)]
     return complex(-prefactor), np.array(rows) / _beam_norm(na)
 
 

@@ -406,15 +406,13 @@ def irp(run, opt):
             r_s=squeeze.db_to_r(parse_number(opt.db, "db")), phi_s=parse_number(opt.phase, "phase")
         ),
         absolute_phase=False,
-        rule=run.rule,
         xi=xi,
     )
     n_theta, n_phi = parse_grid(opt.grid, "irp grid")
-    result = scatter.irp_grid(cfg, n_theta=n_theta, n_phi=n_phi)
+    table, metadata = scatter.irp_grid(cfg, n_theta=n_theta, n_phi=n_phi)
 
-    write_csv(run.path("irp.csv"), scatter.IRP_COLUMNS, result.table)
-    meta = {"normalization": result.normalization, "quadrature_error": error, **result.metadata}
-    write_json(run.path("irp_meta.json"), meta)
+    write_csv(run.path("irp.csv"), scatter.IRP_COLUMNS, table)
+    write_json(run.path("irp_meta.json"), {**metadata, "quadrature_error": error})
 
 
 def _check_modulus(xi):

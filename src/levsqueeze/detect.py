@@ -131,16 +131,17 @@ def sensitivity_curve(spectra: InputSpectra, chi: Susceptibility, u_values):
 
 
 def sensitivity_heatmap(e2r_values, xi2_values, chi: Susceptibility):
-    """Optimal-phase sensitivity over (e^{2r}, |xi|^2); rows tabulated flat."""
-    rows = []
-    for e2r in np.atleast_1d(e2r_values):
+    """Optimal-phase sensitivity over (e^{2r}, |xi|^2): the header and the
+    (n_e2r * n_xi2, 3) table, e2r-major, allocated before the first cell."""
+    table = np.empty((np.size(e2r_values), np.size(xi2_values), 3))
+    for i, e2r in enumerate(np.atleast_1d(e2r_values)):
         if e2r < 1.0:
             raise ConfigError("e^(2r) must be >= 1")
         r_s = 0.5 * math.log(float(e2r))
-        for x2 in np.atleast_1d(xi2_values):
+        for j, x2 in enumerate(np.atleast_1d(xi2_values)):
             _, value = s_min_opt_u_phase(math.sqrt(float(x2)), r_s, chi)
-            rows.append([float(e2r), float(x2), value])
-    return ["e2r", "xi_squared", "s_min_over_sql"], rows
+            table[i, j] = float(e2r), float(x2), value
+    return ["e2r", "xi_squared", "s_min_over_sql"], table.reshape(-1, 3)
 
 
 def wigner_covariance(source: str, *, r: float, phi: float, xi: complex = 1.0):

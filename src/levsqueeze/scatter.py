@@ -5,9 +5,10 @@ light.
 Amplitudes are first-order in the mechanical zero-point motion. The cross
 section, wherever it is used the component sum of |f_plus|^2 minus that of
 |f_minus|^2, is reported as a dimensionless shape factor, in units of
-(2 pi)^3 |alpha0|^2 Gamma0 / c. irp_grid builds the IRP table once, in the
-shape irp.csv writes: one row per direction of an equiangular grid, one
-column per IRP_COLUMNS name.
+(2 pi)^3 |alpha0|^2 Gamma0 / c; its integral over the sphere is the exact
+ratio Gamma/Gamma0 = sxx (ScatterConfig.ratio). irp_grid builds the IRP
+table once, in the shape irp.csv writes: one row per direction of an
+equiangular grid, one column per IRP_COLUMNS name.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angular import BLOCK, AngularDistribution, DEFAULT_RULE, QuadratureRule, integrate_sphere, spherical_basis
-from .errors import ConfigError, NumericalFailure
+from .errors import ConfigError
 from .squeeze import OverlapResult, SqueezeParams, mode_overlap, pure_spectra, recoil_ratio, relative_phase
 
 
@@ -30,7 +31,7 @@ class ScatterConfig:
     The beam is square-normalized, as every built-in distribution is. xi
     is its overlap with the mode: given (e.g. the exact
     squeeze.checked_overlap of a Gaussian beam), or integrated on `rule` by
-    mode_overlap. `rule` also integrates the total cross section.
+    mode_overlap. integrated_cross_section also integrates on `rule`.
     """
 
     mode: AngularDistribution
@@ -97,39 +98,25 @@ def integrated_cross_section(cfg: ScatterConfig):
     return float(integrate_sphere(lambda k: [differential_cross_section(cfg, k)], cfg.rule, cfg.beam.support_axis))
 
 
-# Columns of IRPGrid.table, in the order irp.csv writes them.
+# Columns of the irp_grid table, in the order irp.csv writes them.
 IRP_COLUMNS = ("theta", "phi", "dsigma", "irp", "f_plus_sq", "f_minus_sq")
 
 
-@dataclass
-class IRPGrid:
-    """Equiangular grid of cross-section and IRP values: `table` holds one
-    row per grid point (theta-major) and one column per IRP_COLUMNS name,
-    the rows irp.csv writes; the irp column integrates to 1."""
+def irp_grid(cfg: ScatterConfig, n_theta, n_phi):
+    """Tabulate d sigma / d Omega and the normalized IRP as (table, metadata):
+    the rows of irp.csv, one per grid point (theta-major) and one column per
+    IRP_COLUMNS name, and the fields of irp_meta.json.
 
-    table: np.ndarray  # (n_theta * n_phi, len(IRP_COLUMNS))
-    normalization: float  # integral of dsigma over the sphere
-    metadata: dict
-
-
-def irp_grid(cfg: ScatterConfig, n_theta, n_phi) -> IRPGrid:
-    """Tabulate d sigma / d Omega and the normalized IRP.
-
-    The normalization integral is evaluated first, with the configured
-    quadrature rule (not the export grid), so the IRP normalization is
-    accurate at any export resolution. The grid is then filled in blocks of
-    whole theta rows, at most BLOCK points (but at least one row) each, so
-    the amplitude temporaries stay bounded at any grid size; every value is
-    computed pointwise and does not depend on the blocking.
+    The irp column is dsigma over the exact total cfg.ratio, `normalization`
+    in metadata, so it does not depend on the quadrature rule. The grid is
+    filled in blocks of whole theta rows, at most BLOCK points (but at least
+    one row) each, so the amplitude temporaries stay bounded at any grid
+    size; every value is computed pointwise and does not depend on the
+    blocking.
     """
     if n_theta < 2 or n_phi < 2:
         raise ConfigError("IRP grid must be at least 2x2")
-    total = integrated_cross_section(cfg)
-    if total <= 0:
-        raise NumericalFailure(
-            f"total scattered power is non-positive ({total:.6g}); "
-            "unphysical parameter combination"
-        )
+    total = cfg.ratio
     theta = np.linspace(0.0, np.pi, n_theta)
     phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
     grid = np.empty((n_theta, n_phi, len(IRP_COLUMNS)))
@@ -145,15 +132,16 @@ def irp_grid(cfg: ScatterConfig, n_theta, n_phi) -> IRPGrid:
         np.divide(dsigma[block], total, out=irp[block])
 
     metadata = {
+        "normalization": total,
         "xi_modulus": cfg.xi.modulus,
         "xi_phase": cfg.xi.phase,
         "r_s": cfg.sq.r_s,
         "phi_s": cfg.sq.phi_s,
         "relative_phase": cfg.relative_phase,
-        "ratio": cfg.ratio,
+        "ratio": total,
         "si_units": False,
         "min_dsigma": float(dsigma.min()),
         "max_dsigma": float(dsigma.max()),
         "has_negative_values": bool(dsigma.min() < 0),
     }
-    return IRPGrid(table=grid.reshape(-1, len(IRP_COLUMNS)), normalization=total, metadata=metadata)
+    return grid.reshape(-1, len(IRP_COLUMNS)), metadata

@@ -145,6 +145,49 @@ def test_beam_support_hemisphere():
     assert np.any(np.abs(backward) > 0.0)
 
 
+def rodrigues_rotation_to_axis(axis):
+    """Reference: the minimal rotation e_z -> axis from Rodrigues' formula,
+    with the diag(-1, 1, -1) convention at -e_z."""
+    n = np.asarray(axis, dtype=float)
+    n = n / np.linalg.norm(n)
+    cross = np.cross([0.0, 0.0, 1.0], n)
+    s = np.linalg.norm(cross)
+    if s < 1e-14:
+        return np.eye(3) if n[2] > 0.0 else np.diag([-1.0, 1.0, -1.0])
+    k = cross / s
+    K = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
+    angle = np.arctan2(s, n[2])
+    return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
+
+
+# (axis, u, v) for the Cartesian axes: exact frames, no rounding residue
+CARTESIAN_FRAMES = [
+    ((1, 0, 0), (0, 0, -1), (0, 1, 0)),
+    ((-1, 0, 0), (0, 0, 1), (0, 1, 0)),
+    ((0, 1, 0), (1, 0, 0), (0, 0, -1)),
+    ((0, -1, 0), (1, 0, 0), (0, 0, 1)),
+    ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
+    ((0, 0, -1), (-1, 0, 0), (0, 1, 0)),
+]
+
+
+def test_rotation_to_axis_matches_rodrigues():
+    rng = np.random.default_rng(23)
+    near_minus_z = [(eps * np.cos(a), eps * np.sin(a), -1.0) for eps in (1e-7, 1e-13) for a in (0.0, 1.0, 4.0)]
+    axes = [axis for axis, _, _ in CARTESIAN_FRAMES] + near_minus_z + list(rng.normal(size=(2000, 3)))
+    axes += list(rng.normal(scale=1e-3, size=(200, 3)) + [0.0, 0.0, -1.0])
+    for axis in axes:
+        rot = angular.rotation_to_axis(axis)
+        n = np.asarray(axis, float) / np.linalg.norm(axis)
+        assert np.abs(rot - rodrigues_rotation_to_axis(axis)).max() <= 2e-15
+        assert np.abs(rot @ rot.T - np.eye(3)).max() <= 4e-15
+        assert np.abs(rot[:, 2] - n).max() <= 2.3e-16  # R e_z = n, to the rounding of n
+    for axis, u, v in CARTESIAN_FRAMES:
+        assert np.array_equal(angular.rotation_to_axis(axis), np.column_stack([u, v, axis]))
+    with pytest.raises(ConfigError):
+        angular.rotation_to_axis([0.0, 0.0, 0.0])
+
+
 def test_beam_overlap_rotation_invariant():
     # rotating beam and mode together must leave the overlap unchanged
     beam = angular.make_gaussian_beam(na=0.8, propagation_axis=[0, 0, -1])

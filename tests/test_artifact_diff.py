@@ -52,10 +52,14 @@ def test_cell_differences_are_counted_in_units_of_the_12th_digit(tmp_path):
     a.write_text("x,y\n1,2.00000000001\n-0.5,7\n")
     b.write_text("x,y\n1,2.00000000004\n-0.5,7\n")
     assert artifact_diff.compare_file(a, a) is None
-    assert artifact_diff.compare_file(a, b) == "1 of 6 cells differ, largest by 3 units of the 12th significant digit"
+    assert artifact_diff.compare_file(a, b) == (
+        "1 of 6 cells differ, largest by 3 units of the 12th significant digit and by 3e-11 absolute"
+    )
     b.write_text("x,z\n1,2.00000000001\n-0.5,7\n1,1\n")
     assert artifact_diff.compare_file(a, b) == "layout differs: 6 cells against 8"
     c, d = tmp_path / "c.json", tmp_path / "d.json"
     c.write_text('{"a": [1.5e-300, 2], "b": "x"}\n')
     d.write_text('{"a": [1.50000000002e-300, 2], "b": "y"}\n')
-    assert artifact_diff.compare_file(c, d) == "2 of 3 cells differ, largest by 2 units of the 12th significant digit, 1 not numbers"
+    assert artifact_diff.compare_file(c, d) == (
+        "2 of 3 cells differ, largest by 2 units of the 12th significant digit and by 2e-311 absolute, 1 not numbers"
+    )

@@ -171,8 +171,9 @@ sys.exit(main(sys.argv[1:]))"""
         ["wigner", "--grid-n", "100000"],  # 74.5 GiB
         ["irp", "--grid", "100000x100000"],  # 447 GiB
         ["sensitivity", "--u", "1e-4:1e4:1000000000"],  # 7.45 GiB
+        ["sensitivity", "--heatmap", "--heatmap-grid", "100000x100000"],  # 224 GiB
     ],
-    ids=["wigner", "irp", "sensitivity"],
+    ids=["wigner", "irp", "sensitivity", "heatmap"],
 )
 def test_sizes_beyond_memory_exit_2(tmp_path, args):
     out = tmp_path / "out"
@@ -430,23 +431,21 @@ def test_quad_reaches_overlaps(tmp_path):
 
 
 def test_unresolved_beam_irp_matches_fine_rule(tmp_path, capsys):
-    # the beam is normalized in closed form, so an irp at a rule that does
-    # not resolve the beam tabulates the same fields as at 1024x16; only
-    # the IRP total (hence the irp column) is on the rule, and it stays
-    # close to the exact ratio
+    # the beam is normalized in closed form and the IRP total is the exact
+    # ratio, so an irp at a rule that does not resolve the beam writes the
+    # table of 1024x16 byte for byte; only quadrature_error is on the rule
     args = ["irp", "--beam", "na=0.05,axis=-z", "--db", "15", "--grid", "19x36"]
     assert run(tmp_path / "default", *args) == 0
     assert "warning: na0.05_-z" in capsys.readouterr().err
     assert run(tmp_path / "fine", "--quad", "1024x16", *args) == 0
-    tables = {}
+    assert (tmp_path / "default" / "irp.csv").read_bytes() == (tmp_path / "fine" / "irp.csv").read_bytes()
+    meta = {quad: json.loads((tmp_path / quad / "irp_meta.json").read_text()) for quad in ("default", "fine")}
     for quad in ("default", "fine"):
-        header, *rows = (tmp_path / quad / "irp.csv").read_text().splitlines()
-        tables[quad] = dict(zip(header.split(","), zip(*(row.split(",") for row in rows))))
-    for column in ("theta", "phi", "dsigma", "f_plus_sq", "f_minus_sq"):
-        assert tables["default"][column] == tables["fine"][column]
-    meta = json.loads((tmp_path / "default" / "irp_meta.json").read_text())
-    assert abs(meta["normalization"] - meta["ratio"]) < 5e-4
-    assert meta["quadrature_error"] > 1e-8
+        assert meta[quad]["normalization"] == meta[quad]["ratio"]
+    assert {key: value for key, value in meta["default"].items() if key != "quadrature_error"} == {
+        key: value for key, value in meta["fine"].items() if key != "quadrature_error"
+    }
+    assert meta["default"]["quadrature_error"] > 1e-8
 
 
 def test_coarse_rule_overlap_is_flagged_not_rejected(tmp_path, capsys):

@@ -9,7 +9,10 @@ and the closed-form optimum over the measurement strength u is the minimum
 of a dense scan of s_min over u. The exact overlap of any Gaussian beam
 with any mode pattern is at most 1 in modulus, and over any box of
 polarization angle and weight its squared modulus lies between the
-closed-form extremes the beam search uses.
+closed-form extremes the beam search uses. A single beam's field vanishes
+outside the hemisphere H(n) about its axis, so by Cauchy-Schwarz its
+squared overlap is at most the mode's power on H(n), integrated by
+quadrature independently of the envelope moments.
 
 A 2x2 determinant of rounded spectra is resolved only to a relative
 precision of the products it subtracts, so determinant checks scale their
@@ -224,3 +227,35 @@ def test_inner_extremes_bound_the_overlap(mode, na, axis, alpha_lo, alpha_width,
     polarizations = np.stack([np.cos(a), np.sin(a)])
     m2 = abs(c) ** 2 * np.einsum("i...,ij,j...->...", amplitudes, R, polarizations) ** 2
     assert np.all((lowest - 1e-12 <= m2) & (m2 <= highest + 1e-12))
+
+
+def hemisphere_power(kind, axis, n):
+    """The power int_H(n) |v|^2 of the mode pattern v on the hemisphere about
+    n: the upper half of the default rule's nodes about n, whose theta rows
+    split at the frame's equator, so it is exact for these polynomial
+    patterns."""
+    k, w = angular.DEFAULT_RULE.nodes(axis=n)
+    upper = slice(w.size // 2, None)
+    return float(np.sum(np.abs(angular.make_mode(kind, axis).amplitude(k[:, upper])) ** 2 * w[upper]))
+
+
+def test_hemisphere_ceilings():
+    # |v|^2 is even under k -> -k for every pattern but motion z, so each
+    # hemisphere holds half of it; motion z holds 101/112 on the backward one
+    rng = np.random.default_rng(13)
+    axes = [sign * e for e in np.eye(3) for sign in (1.0, -1.0)] + list(rng.normal(size=(6, 3)))
+    for mode in [("motion", "x"), ("motion", "y"), ("libration", "y"), ("libration", "z")]:
+        for n in axes:
+            assert hemisphere_power(*mode, n) == pytest.approx(0.5, rel=0, abs=1e-12)
+    assert hemisphere_power("motion", "z", [0.0, 0.0, -1.0]) == pytest.approx(101.0 / 112.0, rel=0, abs=1e-12)
+
+
+@DETERMINISTIC
+@given(
+    mode=st.sampled_from(MODES),
+    na=st.floats(min_value=0.05, max_value=1.0),
+    axis=st.tuples(*[st.floats(min_value=-1.0, max_value=1.0)] * 3).filter(lambda v: sum(c * c for c in v) > 1e-6),
+    pol=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+)
+def test_single_beam_overlap_below_its_hemisphere_ceiling(mode, na, axis, pol):
+    assert abs(angular.gaussian_overlap(*mode, na, axis, pol)) ** 2 <= hemisphere_power(*mode, axis) + 1e-12

@@ -106,13 +106,13 @@ def test_unaffected_where_beam_dark():
 
 def test_irp_grid_normalization_and_metadata():
     cfg = make_config(na=0.5, phi=0.4)
-    grid = scatter.irp_grid(cfg, n_theta=19, n_phi=36)
-    assert grid.normalization == pytest.approx(cfg.ratio, rel=1e-9)
-    dsigma, irp = grid.table[:, 2], grid.table[:, 3]
-    assert grid.table.shape == (19 * 36, len(scatter.IRP_COLUMNS))
-    assert np.allclose(irp * grid.normalization, dsigma)
-    assert grid.metadata["has_negative_values"] == bool(dsigma.min() < 0)
-    assert grid.metadata["xi_modulus"] == pytest.approx(cfg.xi.modulus)
+    table, metadata = scatter.irp_grid(cfg, n_theta=19, n_phi=36)
+    assert metadata["normalization"] == metadata["ratio"] == cfg.ratio
+    dsigma, irp = table[:, 2], table[:, 3]
+    assert table.shape == (19 * 36, len(scatter.IRP_COLUMNS))
+    assert np.array_equal(irp, dsigma / cfg.ratio)
+    assert metadata["has_negative_values"] == bool(dsigma.min() < 0)
+    assert metadata["xi_modulus"] == pytest.approx(cfg.xi.modulus)
 
 
 # 80x360 is three blocks of 22 theta rows and a partial one; with
@@ -128,7 +128,7 @@ def test_irp_grid_blocks_match_one_shot(n_theta, n_phi, monkeypatch):
         return angular.spherical_basis(theta, phi)
 
     monkeypatch.setattr(scatter, "spherical_basis", spy)
-    grid = scatter.irp_grid(cfg, n_theta=n_theta, n_phi=n_phi)
+    table, metadata = scatter.irp_grid(cfg, n_theta=n_theta, n_phi=n_phi)
     # whole theta rows, at most BLOCK points unless one row is more
     assert sum(sizes) == n_theta * n_phi and len(sizes) > 1
     assert all(size % n_phi == 0 and size <= max(angular.BLOCK, n_phi) for size in sizes)
@@ -139,24 +139,73 @@ def test_irp_grid_blocks_match_one_shot(n_theta, n_phi, monkeypatch):
     fp2 = np.sum(np.abs(f_plus) ** 2, axis=0)
     fm2 = np.sum(np.abs(f_minus) ** 2, axis=0)
     dsigma = fp2 - fm2
-    total = scatter.integrated_cross_section(cfg)
-    expected = np.column_stack([tt.ravel(), pp.ravel(), dsigma, dsigma / total, fp2, fm2])
-    assert np.array_equal(grid.table, expected)
-    assert grid.normalization == total
-    assert grid.metadata["min_dsigma"] == dsigma.min()
-    assert grid.metadata["max_dsigma"] == dsigma.max()
+    expected = np.column_stack([tt.ravel(), pp.ravel(), dsigma, dsigma / cfg.ratio, fp2, fm2])
+    assert np.array_equal(table, expected)
+    assert metadata["normalization"] == cfg.ratio
+    assert metadata["min_dsigma"] == dsigma.min()
+    assert metadata["max_dsigma"] == dsigma.max()
 
 
 @pytest.mark.parametrize("kind, axis, beam_axis", [("motion", "z", (0, 0, -1)), ("libration", "y", (1, 1, -1))])
 def test_one_dsigma_formula(kind, axis, beam_axis):
-    # the IRP table, the pointwise cross section and the total share one dsigma
+    # the IRP table, the pointwise cross section and the integrated total
+    # share one dsigma; the IRP is normalized by the exact total
     cfg = make_config(na=0.6, axis=axis, kind=kind, db=12.0, phi=0.9, beam_axis=beam_axis)
-    grid = scatter.irp_grid(cfg, n_theta=13, n_phi=24)
-    k = direction(grid.table[:, 0], grid.table[:, 1])
-    assert np.array_equal(grid.table[:, 2], scatter.differential_cross_section(cfg, k))
+    table, metadata = scatter.irp_grid(cfg, n_theta=13, n_phi=24)
+    k = direction(table[:, 0], table[:, 1])
+    assert np.array_equal(table[:, 2], scatter.differential_cross_section(cfg, k))
     dsigma = lambda k: [scatter.differential_cross_section(cfg, k)]  # noqa: E731
     total = angular.integrate_sphere(dsigma, cfg.rule, axis=cfg.beam.support_axis)
-    assert scatter.integrated_cross_section(cfg) == total == grid.normalization
+    assert scatter.integrated_cross_section(cfg) == total
+    assert metadata["normalization"] == cfg.ratio
+
+
+def signed_pair(na, axis, a_plus, a_minus):
+    """a_plus beam(n) - a_minus beam(-n): square-normalized for
+    a_plus^2 + a_minus^2 = 1, but no make_beam weight gives its sign."""
+    beam, partner = angular.make_gaussian_beam(na, axis), angular.make_gaussian_beam(na, -np.asarray(axis, float))
+    return angular.AngularDistribution(
+        lambda k: a_plus * beam.amplitude(k) - a_minus * partner.amplitude(k), support_axis=beam.support_axis
+    )
+
+
+def rotated_pattern(kind, axis, rotation_axis):
+    """A mode pattern carried by a rotation, used as a beam."""
+    return angular.rotated(angular.make_mode(kind, axis), angular.rotation_to_axis(rotation_axis))
+
+
+@pytest.mark.parametrize(
+    "mode, beam, db, phi",
+    [
+        (("motion", "z"), lambda: signed_pair(0.7, (0.3, -0.5, -0.8), 0.8, 0.6), 12.0, 0.9),
+        (("motion", "x"), lambda: signed_pair(0.5, (1.0, 1.0, 1.0), 0.6, 0.8), 6.0, 2.5),
+        (("libration", "z"), lambda: signed_pair(0.9, (0.6, -0.2, -1.0), np.sqrt(0.5), np.sqrt(0.5)), 15.0, 0.0),
+        (("motion", "y"), lambda: rotated_pattern("motion", "z", (1.0, -2.0, 0.5)), 10.0, 1.3),
+        (("libration", "y"), lambda: rotated_pattern("libration", "z", (0.2, 0.1, -1.0)), 20.0, np.pi),
+        (("motion", "z"), lambda: rotated_pattern("motion", "z", (0.3, 0.4, -1.0)), 3.0, 4.0),
+    ],
+    ids=[
+        "pair-motion-z", "pair-motion-x", "pair-libration-z", "rotated-motion-y", "rotated-libration-y", "rotated-motion-z"
+    ],
+)
+def test_columns_integrate_to_closed_forms(mode, beam, db, phi):
+    # for any square-normalized beam b and mode v, with xi = int v . b and
+    # g = ScatterConfig.g: int f_minus_sq = |g|^2,
+    # int f_plus_sq = 1 + 2 Re(conj(g) xi) + |g|^2, and int dsigma = ratio,
+    # the exact IRP total irp_grid divides by
+    rule = angular.QuadratureRule(256, 512)
+    sq = squeeze.SqueezeParams(r_s=squeeze.db_to_r(db), phi_s=phi)
+    cfg = scatter.ScatterConfig(mode=angular.make_mode(*mode), beam=beam(), sq=sq, absolute_phase=False, rule=rule)
+    g, xi = cfg.g, cfg.xi.xi
+
+    def column(index):
+        return angular.integrate_sphere(
+            lambda k: np.abs(scatter.scattering_amplitudes(cfg, k)[index]) ** 2, rule, axis=cfg.beam.support_axis
+        )
+
+    assert column(1) == pytest.approx(abs(g) ** 2, rel=0, abs=1e-12)
+    assert column(0) == pytest.approx(1.0 + 2.0 * (np.conj(g) * xi).real + abs(g) ** 2, rel=0, abs=1e-12)
+    assert scatter.integrated_cross_section(cfg) == pytest.approx(cfg.ratio, rel=0, abs=1e-12)
 
 
 def test_irp_suppression_grows_with_na():

@@ -11,8 +11,8 @@ and 7 and full size, in one fresh interpreter that imports levsqueeze
 from that tree's `src/`. Every CSV and JSON file the commands write, the
 echoed `<command>_config.json` included, is then compared. One line per
 artifact says `identical`, or how many of its cells (CSV cells, JSON leaves)
-differ and the largest difference in units of the 12th significant digit,
-the last one a CSV cell holds. The last line is a summary to paste into
+differ, the largest difference in units of the 12th significant digit (the
+last one a CSV cell holds) and the largest absolute difference. The last line is a summary to paste into
 CHANGES.md. The exit status is 0 when every artifact is identical and
 every command succeeded, 1 otherwise.
 
@@ -89,7 +89,6 @@ def run_tree(src, out, jobs):
     job_file.write_text(json.dumps([(str(out / where), args) for where, args in jobs]))
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
-    env.pop("LEVSQUEEZE_CONFIG_DIR", None)
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, str(job_file), str(code_file)], env=env, capture_output=True, text=True
     )
@@ -120,9 +119,9 @@ def _cells(path, data):
     return {(i, j): cell for i, line in enumerate(lines) for j, cell in enumerate(line.split(","))}
 
 
-def digit_units(a, b):
-    """|a - b| of two numbers' texts in units of the 12th significant digit
-    of the larger; None unless both are finite numbers."""
+def difference(a, b):
+    """(|a - b| in units of the 12th significant digit of the larger, |a - b|)
+    of two numbers' texts; None unless both are finite numbers."""
     try:
         x, y = float(a), float(b)
     except ValueError:
@@ -131,8 +130,8 @@ def digit_units(a, b):
     if not math.isfinite(scale):
         return None
     if x == y:
-        return 0.0
-    return abs(x - y) / 10.0 ** (math.floor(math.log10(scale)) - (SIGNIFICANT_DIGITS - 1))
+        return 0.0, 0.0
+    return abs(x - y) / 10.0 ** (math.floor(math.log10(scale)) - (SIGNIFICANT_DIGITS - 1)), abs(x - y)
 
 
 def compare_file(a, b):
@@ -146,13 +145,14 @@ def compare_file(a, b):
     differ = [(cells_a[key], cells_b[key]) for key in cells_a if cells_a[key] != cells_b[key]]
     if not differ:
         return f"bytes differ, all {len(cells_a)} cells equal"
-    units = [digit_units(*pair) for pair in differ]
-    numeric = [u for u in units if u is not None]
+    differences = [difference(*pair) for pair in differ]
+    numeric = [d for d in differences if d is not None]
     text = f"{len(differ)} of {len(cells_a)} cells differ"
     if numeric:
-        text += f", largest by {max(numeric):.3g} units of the 12th significant digit"
-    if len(numeric) < len(units):
-        text += f", {len(units) - len(numeric)} not numbers"
+        units, absolute = (max(column) for column in zip(*numeric))
+        text += f", largest by {units:.3g} units of the 12th significant digit and by {absolute:.3g} absolute"
+    if len(numeric) < len(differences):
+        text += f", {len(differences) - len(numeric)} not numbers"
     return text
 
 
