@@ -15,6 +15,13 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 
 from __future__ import annotations
 
+import gc
+
+if __name__ == "__main__":
+    # A fresh process: no collection walks the heap the imports below build;
+    # run() freezes that heap and enables collection again.
+    gc.disable()
+
 import json
 import math
 import os
@@ -544,5 +551,15 @@ def main(argv=None):
     return 0
 
 
+def run():
+    """The process entry point of `levsqueeze` and `python -m levsqueeze.cli`:
+    main() after gc.freeze(), so that no collection, those at exit included,
+    walks the objects that importing numpy, click and the package left alive.
+    In-process callers call main(), which leaves the collector as it is."""
+    gc.freeze()
+    gc.enable()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

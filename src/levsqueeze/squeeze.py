@@ -123,11 +123,22 @@ class InputSpectra:
     determinant: float  # det S in closed form, from |xi| and r
 
     def __post_init__(self):
-        det = self.uncertainty_determinant
+        terms = {
+            "sxx": self.sxx,
+            "syy": self.syy,
+            "scross": self.scross,
+            "det": self.determinant,
+            "sxx*syy": self.sxx * self.syy,
+            "scross^2": self.scross * self.scross,
+        }
+        if not all(map(math.isfinite, terms.values())):
+            named = ", ".join(f"{name} = {value:.12g}" for name, value in terms.items())
+            raise NumericalFailure(f"input spectra overflow double precision: {named}")
+        det = terms["sxx*syy"] - terms["scross^2"]
         # The product of rounded spectra equals the closed form only to a few
         # roundings of the terms it subtracts; the closed form carries the
         # bound.
-        rounding = 16.0 * np.finfo(float).eps * (self.sxx * self.syy + self.scross**2 + self.determinant)
+        rounding = 16.0 * np.finfo(float).eps * (terms["sxx*syy"] + terms["scross^2"] + self.determinant)
         physical = self.determinant >= 1.0 - UNCERTAINTY_SLACK and abs(det - self.determinant) <= rounding
         if not physical:
             raise NumericalFailure(
@@ -136,7 +147,7 @@ class InputSpectra:
 
     @property
     def uncertainty_determinant(self):
-        return self.sxx * self.syy - self.scross**2
+        return self.sxx * self.syy - self.scross * self.scross
 
 
 def input_spectra(xi: OverlapResult, sq: SqueezeParams, absolute_phase=True) -> InputSpectra:

@@ -273,6 +273,24 @@ def test_overflow_exits_3(tmp_path, command):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sensitivity", "--db", "3000", "--xi", "0.5"],  # scross^2 overflows
+        ["recoil", "--db", "1e308"],  # r and sinh 2r are inf
+        ["irp", "--db", "1e308", "--grid", "4x4"],
+        ["optimize", "--db", "1e308", "--free", "na=0.1:0.9", "--budget", "9"],
+    ],
+    ids=["sensitivity", "recoil", "irp", "optimize"],
+)
+def test_overflowing_spectra_name_the_overflow(tmp_path, capsys, args):
+    assert run(tmp_path, "--quad", "16x32", *args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: input spectra overflow double precision: ")
+    assert err.count("\n") == 1 and "uncertainty bound" not in err
+    assert os.listdir(tmp_path) == []
+
+
 def test_writers_reject_nonfinite(tmp_path):
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(NumericalFailure):
@@ -389,6 +407,8 @@ def test_wigner_warns_when_the_grid_does_not_resolve_the_state(tmp_path, capsys,
     [
         (["sensitivity", "--xi", "1", "--db", "40", "--phase", "0"], "sensitivity_meta.json", "s_min_opt"),
         (["sensitivity", "--xi", "1", "--db", "80", "--phase", "0"], "sensitivity_meta.json", "s_min_opt"),
+        # sxx syy and scross^2 are near 1e160 and still finite
+        (["sensitivity", "--xi", "1", "--db", "800", "--phase", "0"], "sensitivity_meta.json", "s_min_opt"),
         (["wigner", "--db", "80", "--phase", "0"], "wigner_covariance.json", "determinant"),
         (["wigner", "--db", "100", "--phase", "0"], "wigner_covariance.json", "determinant"),
         (["wigner", "--source", "input", "--xi", "1", "--db", "60", "--phase", "0"], "wigner_covariance.json", "determinant"),
@@ -398,6 +418,7 @@ def test_wigner_warns_when_the_grid_does_not_resolve_the_state(tmp_path, capsys,
     ids=[
         "sensitivity-40dB",
         "sensitivity-80dB",
+        "sensitivity-800dB",
         "wigner-80dB",
         "wigner-100dB",
         "wigner-input-60dB",
