@@ -95,22 +95,26 @@ def parse_quad(text) -> QuadratureRule:
     return QuadratureRule(*parse_grid(text, "quadrature spec"))
 
 
-def parse_db_range(text):
-    """A dB value or start:stop:step range.
+def parse_db_range(text) -> np.ndarray:
+    """The array of a dB value or of a start:stop:step range.
 
     The range steps up from start and never passes stop; stop itself is
-    included when it lies on the grid to within 1e-9 of a step.
+    included when it lies on the grid to within 1e-9 of a step. Its values
+    are start + i * step, one array allocated at once, so a range too long
+    for memory fails before any work is done.
     """
     parts = str(text).split(":")
     if len(parts) == 1:
-        return [parse_number(text, "dB value")]
+        return np.array([parse_number(text, "dB value")])
     if len(parts) != 3:
         raise ConfigError(f"dB range must be value or start:stop:step, got {text!r}")
     start, stop, step = (parse_number(p, "dB range bound") for p in parts)
     if step <= 0 or stop < start:
         raise ConfigError("dB range requires step > 0 and stop >= start")
-    n = math.floor((stop - start) / step + 1e-9)
-    return [start + i * step for i in range(n + 1)]
+    steps = (stop - start) / step + 1e-9
+    if not steps < 2.0**53:  # past 2^53 the step count i is no longer exact
+        raise ConfigError(f"dB range {text!r} has {steps:.3g} steps, more than 2^53")
+    return start + np.arange(math.floor(steps) + 1) * step
 
 
 def parse_beam_spec(text) -> dict:

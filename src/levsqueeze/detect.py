@@ -20,7 +20,7 @@ from .squeeze import OVERLAP_BOUND_TOLERANCE, InputSpectra, OverlapResult, Squee
 
 # "omega << Omega" idealization: |Re chi/chi| differs from 1 by < 1e-6 here
 LOW_FREQ_OMEGA_RATIO = 1e-3
-LOW_FREQ_DAMPING_RATIO = 1e-6
+LOW_FREQ_DAMPING_RATIO = 1e-6  # gamma / Omega of every mode, physics.derived_report's too
 WIGNER_HALF_WIDTH_SIGMAS = 8.0  # half width of the Wigner window, in sigmas of the wider quadrature
 
 

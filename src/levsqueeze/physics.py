@@ -3,9 +3,9 @@ libration frequencies, zero-point amplitudes, and bare recoil rates.
 
 All quantities in SI units; angular frequencies in rad/s. derived_report
 builds the nested report the CLI writes, whose keys are the only names of
-the mode quantities; every mode is damped at DAMPING_RATIO times its
-frequency. A quantity that extreme inputs take to zero or out of range is
-a NumericalFailure that names its key.
+the mode quantities; every mode is damped at detect.LOW_FREQ_DAMPING_RATIO
+times its frequency. A quantity that extreme inputs take to zero or out of
+range is a NumericalFailure that names its key.
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ import numpy as np
 
 from .angular import MOTION_GEOMETRY_FACTORS
 from .constants import C, EPS0, HBAR
+from .detect import LOW_FREQ_DAMPING_RATIO
 from .errors import ConfigError, NumericalFailure
-
-DAMPING_RATIO = 1e-6  # gamma_mu / Omega_mu of every mode
 
 
 def _require_finite(inputs):
@@ -118,105 +117,92 @@ class Laser:
         return self.omega0 / C
 
 
-def alpha0_squared(laser: Laser) -> float:
-    """Squared displaced-mode amplitude of the trapping laser,
-    16 pi^2 P / (hbar c^2 k0 W^2)."""
-    return 16.0 * np.pi**2 * laser.power / (HBAR * C**2 * laser.k0 * laser.waist**2)
-
-
-def motion_frequencies(particle: Particle, laser: Laser):
-    """Mechanical frequencies (rad/s) of the three motional modes."""
-    eps = particle.permittivity
-    omega_xy = np.sqrt(
-        (eps - 1.0)
-        / (eps + 2.0)
-        * 12.0
-        * laser.power
-        / (np.pi * C * particle.density * laser.waist**4)
-    )
-    omega_z = omega_xy * laser.wavelength / (np.sqrt(2.0) * np.pi * laser.waist)
-    return {"x": omega_xy, "y": omega_xy, "z": omega_z}
-
-
-def motion_recoil_bare(particle: Particle, laser: Laser, axis: str, zero_point: float):
-    """Bare recoil heating rate of one motional mode (rad/s)."""
-    a2 = alpha0_squared(laser)
-    alpha = particle.polarizability
-    return (
-        (2.0 * np.pi / C)
-        * a2
-        * (alpha / (2.0 * EPS0 * (2.0 * np.pi) ** 3)) ** 2
-        * laser.omega0**2
-        * zero_point**2
-        * (8.0 * np.pi * laser.k0**4 / 3.0)
-        * MOTION_GEOMETRY_FACTORS[axis]
-    )
-
-
-def derive_motion_modes(particle: Particle, laser: Laser):
-    """Report entries of the three motional modes of a trapped sphere."""
-    modes = {}
-    for axis, omega in motion_frequencies(particle, laser).items():
-        r0 = np.sqrt(HBAR / (2.0 * particle.mass * omega))
-        modes[axis] = {
-            "frequency_rad_s": omega,
-            "zero_point_m": r0,
-            "damping_rad_s": DAMPING_RATIO * omega,
-            "bare_recoil_rad_s": motion_recoil_bare(particle, laser, axis, r0),
-            "geometry_factor": MOTION_GEOMETRY_FACTORS[axis],
-        }
-    return modes
-
-
-def libration_frequency(rotor: Rotor, laser: Laser):
-    """Libration frequency (rad/s), equal for the y and z modes."""
-    a2 = alpha0_squared(laser)
-    return np.sqrt(
-        rotor.delta_alpha
-        / rotor.moment_of_inertia
-        * HBAR
-        * laser.omega0
-        * a2
-        / (EPS0 * (2.0 * np.pi) ** 3)
-    )
-
-
-def libration_recoil_bare(rotor: Rotor, laser: Laser, zero_point: float):
-    """Bare recoil heating rate of a libration mode (rad/s)."""
-    a2 = alpha0_squared(laser)
-    return (
-        rotor.volume
-        / (4.0 * np.pi**2 * C)
-        * a2
-        * (rotor.delta_alpha / (2.0 * EPS0 * (2.0 * np.pi) ** 3)) ** 2
-        * (8.0 * np.pi * laser.k0**2 / 3.0)
-        * zero_point**2
-        * laser.omega0**2
-    )
-
-
-def derive_libration_modes(rotor: Rotor, laser: Laser):
-    """Report entries of the y and z libration modes (identical by symmetry)."""
-    omega = libration_frequency(rotor, laser)
-    r0 = np.sqrt(HBAR / (2.0 * rotor.moment_of_inertia * omega))
-    mode = {
-        "frequency_rad_s": omega,
-        "zero_point_rad": r0,
-        "damping_rad_s": DAMPING_RATIO * omega,
-        "bare_recoil_rad_s": libration_recoil_bare(rotor, laser, r0),
-    }
-    return {axis: dict(mode) for axis in ("y", "z")}
-
-
 def derived_report(laser: Laser, particle: Particle = None, rotor: Rotor = None):
-    """JSON-ready dictionary echoing every derived intermediate quantity;
-    NumericalFailure if extreme inputs take one to zero or out of range."""
+    """JSON-ready dictionary echoing the inputs and every derived quantity:
+    the squared displaced-mode amplitude alpha0^2 = 16 pi^2 P / (hbar c^2 k0 W^2)
+    of the trapping laser, and the entry (_mode) of each motional mode of the
+    particle and each libration mode of the rotor. NumericalFailure if
+    extreme inputs take a quantity to zero or out of range."""
     try:
         # numpy's warnings would only precede _checked's name for the quantity
         with np.errstate(all="ignore"):
-            return _checked(_derived_quantities(laser, particle, rotor))
+            a2 = 16.0 * np.pi**2 * laser.power / (HBAR * C**2 * laser.k0 * laser.waist**2)
+            report = {
+                "laser": {
+                    "power_W": laser.power,
+                    "waist_m": laser.waist,
+                    "wavelength_m": laser.wavelength,
+                    "omega0_rad_s": laser.omega0,
+                    "k0_1_m": laser.k0,
+                },
+                "alpha0_squared": a2,
+            }
+            if particle is not None:
+                report["particle"] = {
+                    "radius_m": particle.radius,
+                    "density_kg_m3": particle.density,
+                    "permittivity": particle.permittivity,
+                    "volume_m3": particle.volume,
+                    "mass_kg": particle.mass,
+                    "polarizability_F_m2": particle.polarizability,
+                }
+                eps = particle.permittivity
+                omega_xy = np.sqrt(
+                    (eps - 1.0) / (eps + 2.0) * 12.0 * laser.power / (np.pi * C * particle.density * laser.waist**4)
+                )
+                omega_z = omega_xy * laser.wavelength / (np.sqrt(2.0) * np.pi * laser.waist)
+                # Each rate multiplies its factors in the order written here;
+                # another grouping moves the last bits of the report.
+                prefactor = (
+                    (2.0 * np.pi / C)
+                    * a2
+                    * (particle.polarizability / (2.0 * EPS0 * (2.0 * np.pi) ** 3)) ** 2
+                    * laser.omega0**2
+                )
+                dipole = 8.0 * np.pi * laser.k0**4 / 3.0
+                modes = report["motion_modes"] = {}
+                for axis, omega in (("x", omega_xy), ("y", omega_xy), ("z", omega_z)):
+                    factor = MOTION_GEOMETRY_FACTORS[axis]
+                    modes[axis] = _mode(omega, particle.mass, "zero_point_m", lambda r0: prefactor * r0**2 * dipole * factor)
+                    modes[axis]["geometry_factor"] = factor
+            if rotor is not None:
+                report["rotor"] = {
+                    "alpha_parallel_F_m2": rotor.alpha_parallel,
+                    "alpha_perp_F_m2": rotor.alpha_perp,
+                    "delta_alpha_F_m2": rotor.delta_alpha,
+                    "moment_of_inertia_kg_m2": rotor.moment_of_inertia,
+                    "volume_m3": rotor.volume,
+                }
+                # the y and z modes are identical by symmetry
+                omega = np.sqrt(
+                    rotor.delta_alpha / rotor.moment_of_inertia * HBAR * laser.omega0 * a2 / (EPS0 * (2.0 * np.pi) ** 3)
+                )
+                prefactor = (
+                    rotor.volume
+                    / (4.0 * np.pi**2 * C)
+                    * a2
+                    * (rotor.delta_alpha / (2.0 * EPS0 * (2.0 * np.pi) ** 3)) ** 2
+                    * (8.0 * np.pi * laser.k0**2 / 3.0)
+                )
+                mode = _mode(omega, rotor.moment_of_inertia, "zero_point_rad", lambda r0: prefactor * r0**2 * laser.omega0**2)
+                report["libration_modes"] = {axis: dict(mode) for axis in ("y", "z")}
+            return _checked(report)
     except (ZeroDivisionError, OverflowError) as exc:
         raise NumericalFailure(f"a derived trap quantity is out of floating-point range ({exc})") from None
+
+
+def _mode(omega, inertia, zero_point_key, recoil):
+    """Report entry of a mode of frequency `omega` (rad/s) whose mass or
+    moment of inertia is `inertia`: its zero-point amplitude
+    r0 = sqrt(hbar / (2 inertia omega)) under `zero_point_key`, its damping
+    and its bare recoil rate recoil(r0) (rad/s)."""
+    r0 = np.sqrt(HBAR / (2.0 * inertia * omega))
+    return {
+        "frequency_rad_s": omega,
+        zero_point_key: r0,
+        "damping_rad_s": LOW_FREQ_DAMPING_RATIO * omega,
+        "bare_recoil_rad_s": recoil(r0),
+    }
 
 
 def _checked(report, prefix=""):
@@ -226,37 +212,4 @@ def _checked(report, prefix=""):
             _checked(value, f"{prefix}{key}.")
         elif value == 0.0 or not math.isfinite(value):
             raise NumericalFailure(f"derived quantity {prefix}{key} is {value:g}, out of floating-point range")
-    return report
-
-
-def _derived_quantities(laser, particle, rotor):
-    report = {
-        "laser": {
-            "power_W": laser.power,
-            "waist_m": laser.waist,
-            "wavelength_m": laser.wavelength,
-            "omega0_rad_s": laser.omega0,
-            "k0_1_m": laser.k0,
-        },
-        "alpha0_squared": alpha0_squared(laser),
-    }
-    if particle is not None:
-        report["particle"] = {
-            "radius_m": particle.radius,
-            "density_kg_m3": particle.density,
-            "permittivity": particle.permittivity,
-            "volume_m3": particle.volume,
-            "mass_kg": particle.mass,
-            "polarizability_F_m2": particle.polarizability,
-        }
-        report["motion_modes"] = derive_motion_modes(particle, laser)
-    if rotor is not None:
-        report["rotor"] = {
-            "alpha_parallel_F_m2": rotor.alpha_parallel,
-            "alpha_perp_F_m2": rotor.alpha_perp,
-            "delta_alpha_F_m2": rotor.delta_alpha,
-            "moment_of_inertia_kg_m2": rotor.moment_of_inertia,
-            "volume_m3": rotor.volume,
-        }
-        report["libration_modes"] = derive_libration_modes(rotor, laser)
     return report

@@ -10,6 +10,7 @@ and the Wigner data read all three spectra.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ from .errors import ConfigError, NumericalFailure
 
 OVERLAP_BOUND_TOLERANCE = 1e-10
 UNCERTAINTY_SLACK = 1e-10
+LOG_FLOAT_MAX = math.log(sys.float_info.max)  # the largest 2r whose e^{2r} is finite
 
 
 @dataclass(frozen=True)
@@ -70,10 +72,17 @@ class OverlapResult:
 
 
 def db_to_r(db: float) -> float:
-    """Convert a squeezing level in dB to the dimensionless degree r."""
+    """Convert a squeezing level in dB to the dimensionless degree r.
+
+    NumericalFailure past about 3082.5 dB, where e^{2r} leaves the double
+    range: every input spectrum (and sinh 2r, cosh 2r) overflows there.
+    """
     if db < 0:
         raise ConfigError("squeezing level in dB must be non-negative")
-    return db * math.log(10.0) / 20.0
+    r = db * math.log(10.0) / 20.0
+    if not 2.0 * r <= LOG_FLOAT_MAX:
+        raise NumericalFailure(f"input spectra overflow double precision: e^(2r) at {db:g} dB (r = {r:g})")
+    return r
 
 
 def _bounded(xi: complex) -> OverlapResult:
@@ -209,9 +218,9 @@ def recoil_sweep(
     polarization_angle, weight). phi is the phase offset
     Phi = phi_s - 2 psi by default (absolute_phase=False). Each beam's
     overlap is exact, with its quadrature error on `rule` reported beside
-    it (checked_overlap). Returns (header, rows, overlaps, errors): the
-    recoil.csv table, one r_db row per dB value, and per column its overlap
-    and quadrature error.
+    it (checked_overlap). Returns (header, table, overlaps, errors): the
+    recoil.csv table, one r_db row per dB value in one array allocated
+    before the first row, and per column its overlap and quadrature error.
     """
     make_mode(kind, axis)  # checks the mode, which the |xi| = 1 column alone does not read
     columns = []
@@ -223,11 +232,8 @@ def recoil_sweep(
         columns.append((f"ratio_{label}", res))
 
     header = ["r_db"] + [name for name, _ in columns]
-    rows = []
-    for db in db_values:
+    table = np.empty((len(db_values), len(header)))
+    for i, db in enumerate(map(float, db_values)):
         sq = SqueezeParams(r_s=db_to_r(db), phi_s=phi)
-        row = [float(db)]
-        for _, res in columns:
-            row.append(recoil_ratio(res, sq, absolute_phase=absolute_phase))
-        rows.append(row)
-    return header, rows, {name: res.xi for name, res in columns}, errors
+        table[i] = [db] + [recoil_ratio(res, sq, absolute_phase=absolute_phase) for _, res in columns]
+    return header, table, {name: res.xi for name, res in columns}, errors

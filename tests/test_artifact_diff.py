@@ -1,7 +1,8 @@
 """tools/artifact_diff.py at reduced size: a verbatim copy of the source
-tree writes byte-identical artifacts, and one formatting change in a copy is
-caught in every file it touches."""
+tree writes byte-identical artifacts, the libration report among them, and
+one formatting change in a copy is caught in every file it touches."""
 
+import json
 import shutil
 import sys
 from pathlib import Path
@@ -35,6 +36,10 @@ def test_identical_trees_and_a_formatting_change(tmp_path):
     # every command writes its echoed config and at least one table
     assert len(results) >= 2 * len(jobs)
     assert all(problem is None for _, problem in results)
+    # the extra run compares the libration half of the derived report
+    (where, _, _), = artifact_diff.EXTRA
+    derived = json.loads((tmp_path / "work" / where / "recoil_params.json").read_text())["derived"]
+    assert sorted(derived["libration_modes"]) == ["y", "z"] and "motion_modes" in derived
 
     # JSON written with one space of indent instead of two: every JSON
     # artifact differs in bytes only, and no CSV moves

@@ -51,8 +51,8 @@ def test_parse_helpers():
     assert (rule.n_theta, rule.n_phi) == (32, 64)
     with pytest.raises(ConfigError):
         parse_quad("banana")
-    assert parse_db_range("15") == [15.0]
-    assert parse_db_range("0:10:5") == [0.0, 5.0, 10.0]
+    assert parse_db_range("15").tolist() == [15.0]
+    assert parse_db_range("0:10:5").tolist() == [0.0, 5.0, 10.0]
     with pytest.raises(ConfigError):
         parse_db_range("0:10:-1")
     beam = parse_beam_spec("na=0.9,axis=-z,pol=pi/2")
@@ -172,8 +172,9 @@ sys.exit(main(sys.argv[1:]))"""
         ["irp", "--grid", "100000x100000"],  # 447 GiB
         ["sensitivity", "--u", "1e-4:1e4:1000000000"],  # 7.45 GiB
         ["sensitivity", "--heatmap", "--heatmap-grid", "100000x100000"],  # 224 GiB
+        ["recoil", "--db", "0:1e10:1"],  # 74.5 GiB
     ],
-    ids=["wigner", "irp", "sensitivity", "heatmap"],
+    ids=["wigner", "irp", "sensitivity", "heatmap", "recoil"],
 )
 def test_sizes_beyond_memory_exit_2(tmp_path, args):
     out = tmp_path / "out"
@@ -191,6 +192,7 @@ def test_sizes_beyond_memory_exit_2(tmp_path, args):
         ["recoil", "--db", "nan"],
         ["recoil", "--db", "inf"],
         ["recoil", "--db", "0:1e400:1"],
+        ["recoil", "--db", "0:1e300:1e-300"],
         ["recoil", "--beam", "na=nan"],
         ["recoil", "--beam", "na=0.5,pol=inf"],
         ["sensitivity", "--phase", "inf"],
@@ -280,8 +282,28 @@ def test_overflow_exits_3(tmp_path, command):
         ["recoil", "--db", "1e308"],  # r and sinh 2r are inf
         ["irp", "--db", "1e308", "--grid", "4x4"],
         ["optimize", "--db", "1e308", "--free", "na=0.1:0.9", "--budget", "9"],
+        ["sensitivity", "--db", "3084", "--xi", "0"],  # 2 sinh 2r is inf, and inf * 0 nan
+        # e^{2r} overflows while r is finite
+        ["recoil", "--db", "5000"],
+        ["irp", "--db", "5000", "--grid", "4x4"],
+        ["sensitivity", "--db", "5000"],
+        ["sensitivity", "--heatmap", "--db", "5000"],
+        ["wigner", "--db", "5000"],
+        ["optimize", "--db", "5000", "--free", "na=0.1:0.9", "--budget", "9"],
     ],
-    ids=["sensitivity", "recoil", "irp", "optimize"],
+    ids=[
+        "sensitivity",
+        "recoil",
+        "irp",
+        "optimize",
+        "sensitivity-xi0",
+        "recoil-5000dB",
+        "irp-5000dB",
+        "sensitivity-5000dB",
+        "heatmap-5000dB",
+        "wigner-5000dB",
+        "optimize-5000dB",
+    ],
 )
 def test_overflowing_spectra_name_the_overflow(tmp_path, capsys, args):
     assert run(tmp_path, "--quad", "16x32", *args) == 3

@@ -19,6 +19,15 @@ def test_db_to_r_values():
         squeeze.db_to_r(-1.0)
 
 
+def test_db_to_r_stops_where_exp_2r_overflows():
+    # at 3082 dB the |xi| = 1 spectra at Phi = 0 still fit a double:
+    # sxx = e^{-2r}, syy = e^{-2r} + 2 sinh 2r; e^{2r} overflows by 3083 dB
+    spectra = squeeze.pure_spectra(squeeze.db_to_r(3082.0), 0.0)
+    assert spectra.syy > 1e307 and spectra.sxx * spectra.syy == pytest.approx(1.0)
+    with pytest.raises(NumericalFailure, match=r"overflow double precision: e\^\(2r\) at 3083 dB"):
+        squeeze.db_to_r(3083.0)
+
+
 def test_no_squeezing_is_neutral(rng):
     for _ in range(20):
         xi = squeeze.OverlapResult(

@@ -7,8 +7,10 @@ REV's `src/` is extracted with `git archive` into a temporary directory;
 the working tree and `.git` are only read, and `perfbench/` only for its
 workload definitions. Each tree runs every command of
 `perfbench.workloads.commands(workload, seed)`, every workload at seeds 3
-and 7 and full size, in one fresh interpreter that imports levsqueeze
-from that tree's `src/`. Every CSV and JSON file the commands write, the
+and 7 and full size, and the EXTRA runs (a `recoil --kind libration` with
+a laser, particle and rotor config, whose derived report no workload
+writes), in one fresh interpreter that imports levsqueeze from that tree's
+`src/`. Every CSV and JSON file the commands write, the
 echoed `<command>_config.json` included, is then compared. One line per
 artifact says `identical`, or how many of its cells (CSV cells, JSON leaves)
 differ, the largest difference in units of the 12th significant digit (the
@@ -48,6 +50,20 @@ from perfbench import workloads  # noqa: E402
 
 SEEDS = (3, 7)
 SIGNIFICANT_DIGITS = 12
+# (artifact directory, CLI arguments, config) of the runs compared beside the
+# workloads. No workload writes the libration half of the derived report in
+# recoil_params.json; this recoil run does, with a laser, a particle and a rotor.
+EXTRA = [
+    (
+        "extra/recoil-libration-report",
+        ["recoil", "--kind", "libration", "--axis", "y", "--beam", "na=0.8,axis=-z,pol=pi/2"],
+        {
+            "laser": {"power": 0.5, "waist": 0.7e-6, "wavelength": 1.064e-6},
+            "particle": {"radius": 70e-9, "density": 2200.0, "permittivity": 2.1},
+            "rotor": {"alpha_parallel": 6.0e-33, "alpha_perp": 4.0e-33, "moment_of_inertia": 1.0e-31, "volume": 2.0e-21},
+        },
+    )
+]
 
 # The child runs each (out, args) job of the JSON file argv[1] through
 # levsqueeze.cli.main and writes the exit codes to argv[2].
@@ -64,19 +80,23 @@ with open(sys.argv[2], "w") as handle:
 
 def plan(names, seeds, config_dir, reduced=False):
     """(artifact directory, CLI arguments) of every command of the workloads
-    `names` at `seeds`; config files are written to `config_dir`."""
+    `names` at `seeds`, then of EXTRA; config files are written to
+    `config_dir`."""
+    runs = [
+        (f"{name}/{seed}/{command.name}", command.args, command.config)
+        for name in names
+        for seed in seeds
+        for command in workloads.commands(name, seed, reduced=reduced)
+    ]
     jobs = []
-    for name in names:
-        for seed in seeds:
-            for command in workloads.commands(name, seed, reduced=reduced):
-                where = f"{name}/{seed}/{command.name}"
-                args = list(command.args)
-                if command.config is not None:
-                    config = Path(config_dir) / (where.replace("/", "-") + ".json")
-                    config.parent.mkdir(parents=True, exist_ok=True)
-                    config.write_text(json.dumps(command.config))
-                    args = ["--config", str(config)] + args
-                jobs.append((where, args))
+    for where, args, config in runs + EXTRA:
+        args = list(args)
+        if config is not None:
+            path = Path(config_dir) / (where.replace("/", "-") + ".json")
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(json.dumps(config))
+            args = ["--config", str(path)] + args
+        jobs.append((where, args))
     return jobs
 
 
@@ -204,7 +224,8 @@ def main(argv=None):
     same = sum(problem is None for _, problem in results)
     summary = (
         f"artifact_diff {args.rev} against the working tree: {same} of {len(results)} artifacts identical "
-        f"({', '.join(names)} at full size, seeds {', '.join(map(str, SEEDS))})"
+        f"({', '.join(names)} at full size, seeds {', '.join(map(str, SEEDS))}; "
+        f"extra: {', '.join(where for where, _, _ in EXTRA)})"
     )
     if failed:
         summary += f"; {len(failed)} commands failed"
