@@ -2,9 +2,10 @@
 
 Subcommands emit CSV tables and JSON sidecars for recoil sweeps, radiation
 patterns, sensitivity curves, beam optimization and Wigner-function data.
-Each option is declared once, as a row of OPTIONS (or COMMON for the group
-options); that row yields the click flag, the type of its key in the
-command's config section, and the line in the echoed config. The physics
+Each option is declared once, as a row of OPTIONS (or COMMON for the options
+given before the command); that row yields the argparse flag, the type of
+its key in the command's config section, its converter, and the line in the
+echoed config. The physics
 sections of a config file are the fields of the `physics` dataclasses, which
 hold every bound on them. A flag beats the config file, which beats the
 default; each run echoes its resolved settings to `<command>_config.json`,
@@ -22,6 +23,7 @@ if __name__ == "__main__":
     # run() freezes that heap and enables collection again.
     gc.disable()
 
+import argparse
 import json
 import math
 import os
@@ -32,9 +34,7 @@ from dataclasses import fields
 from types import SimpleNamespace
 from typing import NamedTuple
 
-import click
 import numpy as np
-from click.core import ParameterSource
 
 from . import detect, physics, scatter, squeeze
 from .angular import DEFAULT_RULE, QuadratureRule, make_beam, make_mode
@@ -204,15 +204,6 @@ OPTIONS = {
 }
 
 
-class _Number(click.ParamType):
-    """Click type of the real-valued options: parse_number's finite float."""
-
-    name = "number"
-
-    def convert(self, value, param, ctx):
-        return parse_number(value, param.name if param else self.name)
-
-
 def _is_number(value):
     """A finite JSON number; true and false are not numbers."""
     if isinstance(value, bool):
@@ -220,34 +211,33 @@ def _is_number(value):
     return isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
 
 
-# Per default type: click option settings, and what the option's value in a
-# config file must be. String options also take numbers, which click turns
-# into strings; an integer may be written 20.0.
-_CLICK_KIND = {
-    bool: {"is_flag": True},
-    tuple: {"multiple": True},
-    int: {"type": click.IntRange(min=0)},
-    float: {"type": _Number()},
-    str: {},
+def _count(value, name):
+    """A non-negative integer from a flag's digits or a config number."""
+    try:
+        count = int(value)
+    except ValueError:
+        count = -1
+    if count < 0:
+        raise ConfigError(f"{name} must be a non-negative integer, got {value!r}")
+    return count
+
+
+# Per default type: the flag's argparse action, what the option's value in a
+# config file must be, and the converter of a flag's text, a config value or
+# the default to what the command reads. String options also take numbers,
+# which become their text; an integer may be written 20.0.
+_KIND = {
+    bool: ("store_true", "a boolean", lambda v: isinstance(v, bool), lambda v, name: v),
+    tuple: (
+        "append",
+        "an array of strings",
+        lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
+        lambda v, name: v,
+    ),
+    int: ("store", "a non-negative integer", lambda v: _is_number(v) and v >= 0 and v == int(v), _count),
+    float: ("store", "a finite number", _is_number, parse_number),
+    str: ("store", "a string or a finite number", lambda v: isinstance(v, str) or _is_number(v), lambda v, name: str(v)),
 }
-_CONFIG_KIND = {
-    bool: ("a boolean", lambda v: isinstance(v, bool)),
-    tuple: ("an array of strings", lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v)),
-    int: ("a non-negative integer", lambda v: _is_number(v) and v >= 0 and v == int(v)),
-    float: ("a finite number", _is_number),
-    str: ("a string or a finite number", lambda v: isinstance(v, str) or _is_number(v)),
-}
-
-
-def _with_options(opts):
-    def decorate(func):
-        for opt in reversed(opts):
-            flag = opt.flag or "--" + opt.name.replace("_", "-")
-            kind = _CLICK_KIND[type(opt.default)]
-            func = click.option(flag, opt.name, default=opt.default, help=opt.help, **kind)(func)
-        return func
-
-    return decorate
 
 
 def load_config(path):
@@ -275,12 +265,12 @@ def load_config(path):
             except ConfigError as exc:
                 raise ConfigError(f"config field {name}: {exc}") from None
             for warning in caught:
-                click.echo(f"warning: config field {name}: {warning.message}", err=True)
+                print(f"warning: config field {name}: {warning.message}", file=sys.stderr)
         else:
             defaults = {o.name: o.default for o in COMMON + OPTIONS[name]}
             _check_section(name, section, defaults)
             for key, value in section.items():
-                what, accepts = _CONFIG_KIND[type(defaults[key])]
+                _, what, accepts, _ = _KIND[type(defaults[key])]
                 if not accepts(value):
                     raise ConfigError(f"config field {name}/{key}: expected {what}, got {value!r}")
     return config
@@ -297,23 +287,14 @@ def _check_section(path, section, known, required=()):
             raise ConfigError(f"config field {path}: {problem} keys {', '.join(map(repr, keys))}")
 
 
-def _read_config(ctx, param, path):
-    """Eager --config callback: each section becomes the default map of its
-    subcommand, so click resolves flag > file > default per option."""
-    config = load_config(path)
-    ctx.default_map = config
-    return config
-
-
 class Run:
     """What every subcommand shares: the config file, the output directory
-    and the resolved COMMON options."""
+    and the --quad rule."""
 
-    def __init__(self, config, out, common):
+    def __init__(self, config, out, quad):
         self.config = config
         self.out = out
-        self.common = common
-        self.rule = parse_quad(common["quad"])
+        self.rule = parse_quad(quad)
 
     def path(self, name):
         return os.path.join(self.out, name)
@@ -325,53 +306,18 @@ class Run:
         return physics.derived_report(cfg["laser"], particle=cfg.get("particle"), rotor=cfg.get("rotor"))
 
 
-@click.group()
-@click.option("--config", type=click.Path(), callback=_read_config, is_eager=True, help="JSON config file.")
-@click.option("--out", type=click.Path(), default=".", help="Output directory.")
-@_with_options(COMMON)
-@click.pass_context
-def cli(ctx, config, out, **common):
-    """Squeezed-light recoil, scattering and detection calculator."""
-    # The invoked command's config section may set quad/seed unless the flag was given.
-    section = config.get(ctx.invoked_subcommand, {})
-    for param in ctx.command.params:
-        if param.name in section and ctx.get_parameter_source(param.name) is not ParameterSource.COMMANDLINE:
-            common[param.name] = param.type_cast_value(ctx, section[param.name])
-    ctx.obj = Run(config, out, common)
-
-
-def command(name):
-    """Register `body(run, opt)` as the subcommand `name` with the options
-    OPTIONS[name]. `opt` holds the resolved values; after the body ran they
-    are echoed, with any the body settled itself, to `<name>_config.json`."""
-
-    def decorate(body):
-        @click.pass_obj
-        def callback(run, **values):
-            opt = SimpleNamespace(**values)
-            body(run, opt)
-            payload = {name: {**vars(opt), **run.common}}
-            payload.update({k: vars(run.config[k]) for k in PHYSICS_SECTIONS if k in run.config})
-            write_json(run.path(f"{name}_config.json"), payload)
-
-        return cli.command(name, help=body.__doc__)(_with_options(OPTIONS[name])(callback))
-
-    return decorate
-
-
 def _flag_unresolved(error, what):
     """Return the quadrature error of an exact overlap, after a warning on
     stderr if it shows that the --quad rule does not resolve the beam."""
     if error > QUADRATURE_WARNING:
-        click.echo(
+        print(
             f"warning: {what}: the --quad integral of the overlap is {error:.3g} from its exact value; "
             "the rule does not resolve this beam",
-            err=True,
+            file=sys.stderr,
         )
     return error
 
 
-@command("recoil")
 def recoil(run, opt):
     """Recoil-heating ratio versus squeezing degree."""
     opt.perfect_overlap = opt.perfect_overlap or not opt.beams
@@ -403,7 +349,6 @@ def recoil(run, opt):
     write_json(run.path("recoil_params.json"), meta)
 
 
-@command("irp")
 def irp(run, opt):
     """Differential cross section and information radiation pattern."""
     params = parse_beam_spec(opt.beam)
@@ -431,7 +376,6 @@ def _check_modulus(xi):
         raise ConfigError(f"overlap modulus --xi must lie in [0, 1], got {xi}")
 
 
-@command("sensitivity")
 def sensitivity(run, opt):
     """Minimum detectable signal relative to the standard quantum limit."""
     _check_modulus(opt.xi)
@@ -485,7 +429,6 @@ def _bounds(text, name):
     return tuple(parse_number(p, f"{name} bound") for p in parts)
 
 
-@command("optimize")
 def optimize_cmd(run, opt):
     """Search beam parameters minimizing recoil or optimized sensitivity at a
     fixed phase; polarization and weight are solved exactly."""
@@ -512,7 +455,6 @@ def optimize_cmd(run, opt):
     )
 
 
-@command("wigner")
 def wigner(run, opt):
     """Gaussian Wigner function of the squeezed input light."""
     _check_modulus(opt.xi)
@@ -522,35 +464,87 @@ def wigner(run, opt):
     table = detect.wigner_grid(cov, det, n=opt.grid_n)
     total = table[:, 2].sum() * (table[1, 1] - table[0, 1]) ** 2  # sum of w dx dy
     if abs(total - 1.0) > WIGNER_SUM_WARNING:
-        click.echo(
+        print(
             f"warning: the Wigner table sums to {total:.6g}, not 1; --grid-n {opt.grid_n} does not resolve this state",
-            err=True,
+            file=sys.stderr,
         )
     write_csv(run.path("wigner.csv"), ["x", "y", "w"], table)
     meta = {"covariance": cov.tolist(), "determinant": det, "source": opt.source}
     write_json(run.path("wigner_covariance.json"), meta)
 
 
+# The body(run, opt) of each subcommand, whose options are COMMON and OPTIONS[name].
+COMMANDS = {"recoil": recoil, "irp": irp, "sensitivity": sensitivity, "optimize": optimize_cmd, "wigner": wigner}
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser, the subcommands' included, that takes no abbreviated flag and
+    no -h, and whose usage error is a ConfigError: one stderr line, exit 2."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, add_help=False, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _parse_args(argv):
+    """The command, --config, --out and each option given as a flag in `argv`;
+    an option not given is absent. A flag that takes a value is joined by '='
+    to a value that starts with '-', so that -pi/2 or -5:0:1 is not a flag."""
+    parser = _Parser(prog="levsqueeze", description="Squeezed-light recoil, scattering and detection calculator.")
+    parser.add_argument("--config", help="JSON config file.")
+    parser.add_argument("--out", default=".", help="Output directory.")
+    commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    groups = [(parser, COMMON)]
+    for name, body in COMMANDS.items():
+        groups.append((commands.add_parser(name, help=body.__doc__, description=body.__doc__), OPTIONS[name]))
+    valued = {"--config", "--out"}
+    for target, opts in groups:
+        for opt in opts:
+            flag = opt.flag or "--" + opt.name.replace("_", "-")
+            action = _KIND[type(opt.default)][0]
+            target.add_argument(flag, dest=opt.name, action=action, default=argparse.SUPPRESS, help=opt.help)
+            if action != "store_true":
+                valued.add(flag)
+    joined = []
+    for arg in argv:
+        if joined and joined[-1] in valued and arg.startswith("-"):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return parser.parse_args(joined)
+
+
 def main(argv=None):
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Abort:
-        return 2
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        return 2
-    except click.ClickException as exc:
-        exc.show()
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        config = load_config(args.config)
+        section = config.get(args.command, {})
+        opt = SimpleNamespace()  # a flag beats the command's config section, which beats the default
+        for o in COMMON + OPTIONS[args.command]:
+            value = getattr(args, o.name, section.get(o.name, o.default))
+            setattr(opt, o.name, _KIND[type(o.default)][3](value, o.name))
+        run = Run(config, args.out, opt.quad)
+        COMMANDS[args.command](run, opt)  # which may settle an option itself, as recoil does
+        payload = {args.command: vars(opt)}
+        payload.update({k: vars(config[k]) for k in PHYSICS_SECTIONS if k in config})
+        write_json(run.path(f"{args.command}_config.json"), payload)
+    except SystemExit as exc:  # --help printed the help
+        return exc.code
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
         return 2
     except ConfigError as exc:
-        click.echo(f"configuration error: {exc}", err=True)
+        print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
         detail = f": {exc}" if str(exc) else ""
-        click.echo(f"configuration error: out of memory for the requested sizes{detail}", err=True)
+        print(f"configuration error: out of memory for the requested sizes{detail}", file=sys.stderr)
         return 2
     except (NumericalFailure, OverflowError) as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0
 
@@ -558,7 +552,7 @@ def main(argv=None):
 def run():
     """The process entry point of `levsqueeze` and `python -m levsqueeze.cli`:
     main() after gc.freeze(), so that no collection, those at exit included,
-    walks the objects that importing numpy, click and the package left alive.
+    walks the objects that importing numpy and the package left alive.
     In-process callers call main(), which leaves the collector as it is."""
     gc.freeze()
     gc.enable()

@@ -129,6 +129,38 @@ def test_exit_code_config_error(tmp_path):
     assert main(["--out", str(tmp_path), "unknown-command"]) == 2
 
 
+def interrupt(*args, **kwargs):
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize(
+    "args, sweep, code, message",
+    [
+        # a value that starts with "-" is the value, not a flag
+        (["sensitivity", "--phase", "-pi/2"], None, 0, None),
+        (["sensitivity", "--phase", "-1e-3"], None, 0, None),
+        (["recoil", "--db", "-5:0:1"], None, 2, "configuration error: squeezing level in dB must be non-negative"),
+        # no flag is abbreviated: --d is not --db
+        (["recoil", "--d", "3"], None, 2, "--d"),
+        (["recoil", "--no-such-option"], None, 2, "--no-such-option"),
+        ([], None, 2, "COMMAND"),
+        (["recoil", "--db", "3"], interrupt, 2, "interrupted"),
+    ],
+    ids=["phase-pi-literal", "phase-exponent", "db-range", "abbreviation", "unknown-option", "bare", "interrupt"],
+)
+def test_parser_edges(tmp_path, capsys, monkeypatch, args, sweep, code, message):
+    # sweep, when given, stands in for the recoil sweep
+    if sweep:
+        monkeypatch.setattr(cli.squeeze, "recoil_sweep", sweep)
+    assert main(["--out", str(tmp_path), *args] if args else []) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == "" and (tmp_path / "sensitivity_config.json").is_file()
+    else:
+        assert err.count("\n") == 1 and message in err
+        assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("command", [None, *OPTIONS])
 def test_help_names_every_option(capsys, command):
     assert main([command, "--help"] if command else ["--help"]) == 0
@@ -266,13 +298,6 @@ def test_db_range_never_passes_stop():
     assert values[-1] == pytest.approx(19.8) and len(values) == 67
     values = parse_db_range("0:20:0.5")
     assert len(values) == 41 and values[-1] == 20.0
-
-
-@pytest.mark.parametrize("command", ["recoil", "irp", "wigner", "sensitivity"])
-def test_overflow_exits_3(tmp_path, command):
-    extra = {"irp": ["--grid", "4x4"], "wigner": ["--grid-n", "5"]}.get(command, [])
-    assert run(tmp_path, "--quad", "16x32", command, "--db", "5000", *extra) == 3
-    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize(
@@ -735,6 +760,11 @@ def test_flag_beats_config(tmp_path):
     lines = (out / "recoil.csv").read_text().strip().split("\n")
     assert len(lines) == 2
     assert float(lines[1].split(",")[0]) == 0.0
+    # the options given before the command follow the same rule
+    config.write_text(json.dumps({"recoil": {"quad": "16x32", "seed": 3}}))
+    assert main(["--config", str(config), "--out", str(out), "--quad", "8x16", "recoil", "--db", "0"]) == 0
+    echoed = json.loads((out / "recoil_config.json").read_text())["recoil"]
+    assert (echoed["quad"], echoed["seed"]) == ("8x16", 3)
 
 
 def test_config_dir_variable_changes_nothing(tmp_path, monkeypatch):
@@ -900,17 +930,20 @@ def test_physics_sections_echoed_as_given(tmp_path):
         assert filecmp.cmp(first / name, second / name, shallow=False), name
 
 
-def test_config_file_needs_no_jsonschema(tmp_path):
+@pytest.mark.parametrize("module", ["jsonschema", "click"])
+def test_config_file_needs_no_jsonschema(tmp_path, module):
+    # numpy is the one dependency: the CLI runs with `module` unimportable
     config = tmp_path / "conf.json"
     config.write_text(json.dumps({"laser": LASER, "particle": PARTICLE}))
     out = tmp_path / "out"
     proc = fresh_python(
-        "import sys; sys.modules['jsonschema'] = None\n"
+        "import sys; sys.modules[sys.argv[3]] = None\n"
         "from levsqueeze.cli import main\n"
         "code = main(['--config', sys.argv[1], '--out', sys.argv[2], '--seed', '3', 'recoil', '--db', '15'])\n"
-        "print(code, sorted(k for k, m in sys.modules.items() if k.startswith('jsonschema') and m is not None))",
+        "print(code, sorted(k for k, m in sys.modules.items() if k.startswith(sys.argv[3]) and m is not None))",
         str(config),
         str(out),
+        module,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "[]"]

@@ -23,7 +23,7 @@ neither), and whether the medians differ by more than REV's interquartile
 range in the working tree's favour; per workload, both sides' failed and
 attempted command counts; and the provenance of the comparison: both
 revisions, whether the working tree differs from its HEAD, the host's CPU
-count and model, the Python, numpy and click versions and
+count and model, the Python and numpy versions and
 PYTHONDONTWRITEBYTECODE. One line per workload and metric goes to standard
 output. The exit status is 0 when no command failed on either side, 1 when
 some did, and 2 when the harnesses differ.
@@ -202,7 +202,6 @@ def provenance(rev):
         "cpu": cpu or platform.processor(),
         "python": platform.python_version(),
         "numpy": version("numpy"),
-        "click": version("click"),
         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
     }
 
