@@ -46,8 +46,6 @@ from .optimize import OptimizationProblem, optimize as run_optimize
 PHYSICS_SECTIONS = {"laser": physics.Laser, "particle": physics.Particle, "rotor": physics.Rotor}
 # Largest quadrature error of a reported overlap that passes without a warning.
 QUADRATURE_WARNING = 1e-8
-# Largest distance of the Wigner table's sum of w dx dy from 1 that passes without a warning.
-WIGNER_SUM_WARNING = 1e-3
 
 # "x", "+x", "-x", ... -> unit vector
 AXIS_TOKENS = {
@@ -199,7 +197,7 @@ OPTIONS = {
         DB,
         Opt("phase", "0", "Squeeze phase (bare) or offset phi_s - 2 arg(xi) (input)."),
         Opt("xi", 1.0, "Overlap modulus (input source only)."),
-        Opt("grid_n", 101, "Grid points per quadrature axis."),
+        Opt("grid_n", 101, "Lattice points per principal axis."),
     ),
 }
 
@@ -461,14 +459,7 @@ def wigner(run, opt):
     r_s = squeeze.db_to_r(parse_number(opt.db, "db"))
     phi = parse_number(opt.phase, "phase")
     cov, det = detect.wigner_covariance(opt.source, r=r_s, phi=phi, xi=opt.xi)
-    table = detect.wigner_grid(cov, det, n=opt.grid_n)
-    total = table[:, 2].sum() * (table[1, 1] - table[0, 1]) ** 2  # sum of w dx dy
-    if abs(total - 1.0) > WIGNER_SUM_WARNING:
-        print(
-            f"warning: the Wigner table sums to {total:.6g}, not 1; --grid-n {opt.grid_n} does not resolve this state",
-            file=sys.stderr,
-        )
-    write_csv(run.path("wigner.csv"), ["x", "y", "w"], table)
+    write_csv(run.path("wigner.csv"), ["x", "y", "w"], detect.wigner_grid(cov, det, n=opt.grid_n))
     meta = {"covariance": cov.tolist(), "determinant": det, "source": opt.source}
     write_json(run.path("wigner_covariance.json"), meta)
 

@@ -21,7 +21,7 @@ from .squeeze import OVERLAP_BOUND_TOLERANCE, InputSpectra, OverlapResult, Squee
 # "omega << Omega" idealization: |Re chi/chi| differs from 1 by < 1e-6 here
 LOW_FREQ_OMEGA_RATIO = 1e-3
 LOW_FREQ_DAMPING_RATIO = 1e-6  # gamma / Omega of every mode, physics.derived_report's too
-WIGNER_HALF_WIDTH_SIGMAS = 8.0  # half width of the Wigner window, in sigmas of the wider quadrature
+WIGNER_HALF_WIDTH_SIGMAS = 8.0  # half width of the Wigner lattice, in sigmas of each principal axis
 
 
 @dataclass(frozen=True)
@@ -68,14 +68,14 @@ def low_frequency_susceptibility(mode_frequency: float) -> Susceptibility:
     )
 
 
-def s_min(spectra: InputSpectra, chi: Susceptibility, u: float) -> float:
-    """Minimum detectable signal over the SQL at measurement strength u.
+def s_min(spectra: InputSpectra, chi: Susceptibility, u):
+    """Minimum detectable signal over the SQL at each measurement strength u.
 
     u = 4 Gamma0 / Omega balances imprecision (syy term) against
     back-action (sxx term); the cross term rewards amplitude-phase
     correlations of the input light.
     """
-    if u <= 0:
+    if not np.all(np.greater(u, 0)):
         raise ConfigError("measurement strength u must be positive")
     mod = abs(chi.chi_tilde)
     return 0.5 * (
@@ -126,8 +126,11 @@ def s_min_opt_u_phase(xi_modulus: float, r_s: float, chi: Susceptibility):
 
 
 def sensitivity_curve(spectra: InputSpectra, chi: Susceptibility, u_values):
-    """s_min over a grid of measurement strengths; rows (u, value)."""
-    return [[float(u), s_min(spectra, chi, float(u))] for u in np.atleast_1d(u_values)]
+    """s_min over a grid of measurement strengths: the (n, 2) table of u and value."""
+    table = np.empty((np.size(u_values), 2))
+    table[:, 0] = u_values
+    table[:, 1] = s_min(spectra, chi, table[:, 0])
+    return table
 
 
 def sensitivity_heatmap(e2r_values, xi2_values, chi: Susceptibility):
@@ -169,20 +172,23 @@ def wigner_covariance(source: str, *, r: float, phi: float, xi: complex = 1.0):
 
 
 def wigner_grid(cov: np.ndarray, det: float, n: int):
-    """Gaussian Wigner function on a square grid around the origin.
-
-    det is the determinant of cov; the inverse is the adjugate over it.
-    Returns the (n * n, 3) table of x, y, w that wigner.csv holds, x-major;
-    the sum of w dx dy is 1 when the window contains the state and the
-    spacing resolves it.
-    """
+    """Gaussian Wigner function of cov (determinant det) on a lattice along
+    its principal axes: the (n * n, 3) table of lab x, y and w that
+    wigner.csv holds, u-major. Node (u, v), each evenly spaced on
+    +-WIGNER_HALF_WIDTH_SIGMAS, lies at R(theta) diag(sqrt(l+), sqrt(l-)) (u, v)
+    and weighs g(u) g(v) / (2 pi sqrt(det)), g(t) = exp(-t^2 / 2). Since
+    sqrt(l+ l-) = sqrt(det), the sum of w dA is the standard normal's on the
+    lattice, whatever the state."""
     if n < 2:
         raise ConfigError("Wigner grid needs at least 2 points per axis")
-    sigma = math.sqrt(max(cov[0, 0], cov[1, 1]))
-    half = WIGNER_HALF_WIDTH_SIGMAS * sigma
-    x = np.linspace(-half, half, n)
-    xx, yy = np.meshgrid(x, x, indexing="ij")
-    # the quadratic form (x, y) cov^-1 (x, y)^T; rebinding w frees it before the table is built
-    w = (cov[1, 1] * xx**2 - 2.0 * cov[0, 1] * xx * yy + cov[0, 0] * yy**2) / det
-    w = np.exp(-0.5 * w) / (2.0 * np.pi * math.sqrt(det))
-    return np.column_stack([xx.ravel(), yy.ravel(), w.ravel()])
+    a, b, c = cov[0, 0], cov[1, 1], cov[0, 1]
+    # l+ from halves stays finite wherever a and b are; sqrt(l-) = sqrt(det) / sqrt(l+) subtracts nothing
+    major = math.sqrt(0.5 * a + 0.5 * b + math.hypot(0.5 * (a - b), c))
+    theta = 0.5 * math.atan2(c, 0.5 * (a - b))
+    t = np.linspace(-WIGNER_HALF_WIDTH_SIGMAS, WIGNER_HALF_WIDTH_SIGMAS, n)
+    along, across, g = major * t, math.sqrt(det) / major * t, np.exp(-0.5 * t * t)  # lab lengths of u and v
+    table = np.empty((n, n, 3))
+    np.add.outer(math.cos(theta) * along, -math.sin(theta) * across, out=table[..., 0])
+    np.add.outer(math.sin(theta) * along, math.cos(theta) * across, out=table[..., 1])
+    np.multiply.outer(g, g / (2.0 * np.pi * math.sqrt(det)), out=table[..., 2])
+    return table.reshape(-1, 3)

@@ -203,10 +203,11 @@ sys.exit(main(sys.argv[1:]))"""
         ["wigner", "--grid-n", "100000"],  # 74.5 GiB
         ["irp", "--grid", "100000x100000"],  # 447 GiB
         ["sensitivity", "--u", "1e-4:1e4:1000000000"],  # 7.45 GiB
+        ["sensitivity", "--u", "1e-4:1e4:50000000"],  # 381 MiB of u fit, its 763 MiB table does not
         ["sensitivity", "--heatmap", "--heatmap-grid", "100000x100000"],  # 224 GiB
         ["recoil", "--db", "0:1e10:1"],  # 74.5 GiB
     ],
-    ids=["wigner", "irp", "sensitivity", "heatmap", "recoil"],
+    ids=["wigner", "irp", "sensitivity", "sensitivity-table", "heatmap", "recoil"],
 )
 def test_sizes_beyond_memory_exit_2(tmp_path, args):
     out = tmp_path / "out"
@@ -427,26 +428,36 @@ def figures_wigner(seed):
 
 
 @pytest.mark.parametrize(
-    "args, total",
+    "args",
     [
-        (["--db", "30", "--phase", "0.7", "--grid-n", "101"], 3.743),
-        (["--db", "40", "--phase", "0.7", "--grid-n", "401"], 2.346),
-        (["--db", "15", "--phase", "0.7", "--grid-n", "101"], None),
-        (["--db", "15", "--phase", "0.7", "--grid-n", "401"], None),
-        (["--source", "input", "--xi", "0.9", "--db", "30", "--phase", "0.7", "--grid-n", "101"], None),
-        (figures_wigner(3), None),
-        (figures_wigner(7), None),
+        ["--db", "30", "--phase", "0.7", "--grid-n", "101"],
+        ["--db", "40", "--phase", "0.7", "--grid-n", "401"],
+        ["--db", "15", "--phase", "0.7", "--grid-n", "101"],
+        ["--db", "15", "--phase", "0.7", "--grid-n", "401"],
+        ["--source", "input", "--xi", "0.9", "--db", "30", "--phase", "0.7", "--grid-n", "101"],
+        figures_wigner(3),
+        figures_wigner(7),
     ],
 )
-def test_wigner_warns_when_the_grid_does_not_resolve_the_state(tmp_path, capsys, args, total):
-    # the sum of w dx dy of wigner.csv is 1 unless the spacing is too coarse for the squeezed width
+def test_wigner_table_sums_to_one_on_the_principal_lattice(tmp_path, capsys, args):
+    # the lattice lies on the state's principal axes, so its area element is
+    # du dv sqrt(det) and the sum of w dA is the standard normal's on n points
+    # per axis, whatever the squeezing
     assert run(tmp_path, "wigner", *args) == 0
-    x, y, w = np.loadtxt(tmp_path / "wigner.csv", delimiter=",", skiprows=1).T
-    written = w.sum() * (y[1] - y[0]) ** 2
-    assert written == pytest.approx(1.0 if total is None else total, abs=1e-3)
-    grid_n = args[args.index("--grid-n") + 1]
-    warning = f"warning: the Wigner table sums to {written:.6g}, not 1; --grid-n {grid_n} does not resolve this state\n"
-    assert capsys.readouterr().err == ("" if total is None else warning)
+    assert capsys.readouterr().err == ""
+    n = int(args[args.index("--grid-n") + 1])
+    w = np.loadtxt(tmp_path / "wigner.csv", delimiter=",", skiprows=1, usecols=2)
+    det = json.loads((tmp_path / "wigner_covariance.json").read_text())["determinant"]
+    du = 2.0 * detect.WIGNER_HALF_WIDTH_SIGMAS / (n - 1)
+    assert w.shape == (n * n,)
+    assert w.sum() * du * du * math.sqrt(det) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("db", ["2000", "3082"])
+def test_wigner_at_extreme_squeezing_writes_nothing_to_stderr(tmp_path, capsys, db):
+    # the principal widths reach 1e154 and 1e-154; nothing squares them
+    assert run(tmp_path, "wigner", "--db", db, "--grid-n", "5") == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(

@@ -162,11 +162,15 @@ def test_wigner_covariances():
 def test_wigner_grid_normalization():
     cov, _ = detect.wigner_covariance("bare", r=1.0, phi=0.7)
     x, y, w = detect.wigner_grid(cov, 1.0, n=401).reshape(401, 401, 3).transpose(2, 0, 1)
-    dx, dy = x[1, 0] - x[0, 0], y[0, 1] - y[0, 0]
-    assert w.sum() * dx * dy == pytest.approx(1.0, abs=1e-6)
+    # the lattice spacing along each principal axis, in its sigmas; det = 1
+    du = 2.0 * detect.WIGNER_HALF_WIDTH_SIGMAS / 400
+    assert w.sum() * du * du == pytest.approx(1.0, abs=1e-6)
     assert w[200, 200] == pytest.approx(
         1.0 / (2 * np.pi * math.sqrt(np.linalg.det(cov))), rel=1e-12
     )
+    # each weight is the Gaussian of cov at the node's lab point
+    q = (cov[1, 1] * x**2 - 2.0 * cov[0, 1] * x * y + cov[0, 0] * y**2) / np.linalg.det(cov)
+    assert np.abs(w - np.exp(-0.5 * q) / (2 * np.pi)).max() <= 1e-12 * w.max()
 
 
 def test_sensitivity_heatmap_contains_paper_point():

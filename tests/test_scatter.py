@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -206,6 +208,30 @@ def test_columns_integrate_to_closed_forms(mode, beam, db, phi):
     assert column(1) == pytest.approx(abs(g) ** 2, rel=0, abs=1e-12)
     assert column(0) == pytest.approx(1.0 + 2.0 * (np.conj(g) * xi).real + abs(g) ** 2, rel=0, abs=1e-12)
     assert scatter.integrated_cross_section(cfg) == pytest.approx(cfg.ratio, rel=0, abs=1e-12)
+
+
+MODES = [("motion", "x"), ("motion", "y"), ("motion", "z"), ("libration", "y"), ("libration", "z")]
+
+
+@pytest.mark.parametrize("db", [0.0, 15.0, 30.0])
+@pytest.mark.parametrize("kind, axis", MODES, ids=[f"{kind}-{axis}" for kind, axis in MODES])
+def test_irp_at_mode_matching_is_the_mode_power(kind, axis, db):
+    # the mode pattern v = e^{i a} u (u real) as its own beam: xi = int v . v
+    # = e^{2 i a}, so f_plus = -e^{i a} u (1 + g e^{-2 i a}) with
+    # 1 + 2 Re(g e^{-2 i a}) = sxx = ratio, and dsigma = ratio |v|^2 pointwise
+    mode = angular.make_mode(kind, axis)
+    n_theta, n_phi = 37, 72
+    theta = np.linspace(0.0, np.pi, n_theta)
+    phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
+    power = np.sum(np.abs(mode.amplitude(angular.spherical_basis(theta, phi))) ** 2, axis=0)
+    r = squeeze.db_to_r(db)
+    for phi_s, absolute_phase in [(0.0, False), (1.3, False), (4.0, True), (-2.2, True)]:
+        sq = squeeze.SqueezeParams(r_s=r, phi_s=phi_s)
+        cfg = scatter.ScatterConfig(mode=mode, beam=mode, sq=sq, absolute_phase=absolute_phase)
+        assert cfg.xi.modulus == pytest.approx(1.0, abs=1e-15)
+        table, _ = scatter.irp_grid(cfg, n_theta, n_phi)
+        assert np.array_equal(table[:, 0], np.repeat(theta, n_phi)) and np.array_equal(table[:, 1], np.tile(phi, n_theta))
+        assert np.abs(table[:, 3] - power).max() <= 1e-15 * (1.0 + math.exp(2.0 * r))
 
 
 def test_irp_suppression_grows_with_na():
