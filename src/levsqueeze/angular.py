@@ -15,7 +15,8 @@ are given. Beams carry a preferred axis; integrals involving them are
 taken on a grid aligned with that axis, which handles the hemisphere edge
 exactly and makes overlaps invariant under joint rotations.
 
-The overlap of a Gaussian beam with a mode pattern also has a closed form,
+Every mode pattern is C [e - (e . k) k] (s . k - t) of its _pattern row, so
+the overlap of a Gaussian beam with a mode pattern also has a closed form,
 gaussian_overlap, in radial moments of the beam envelope; it needs no
 sphere quadrature and is exact for beams any rule may fail to resolve.
 """
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -39,6 +41,8 @@ AXES = {
 
 # Geometry factors of the three motional coupling patterns: (1, 2, 7) / 5.
 MOTION_GEOMETRY_FACTORS = {"x": 1.0 / 5.0, "y": 2.0 / 5.0, "z": 7.0 / 5.0}
+
+NA_MIN = math.sqrt(sys.float_info.min)  # the smallest NA: below it na^2 is not a normal float
 
 # Largest number of directions an integrand or an IRP table is evaluated on
 # at once: the default 64x128 rule is one block.
@@ -201,61 +205,61 @@ def _transverse(vector, k):
     return v[:, None] - (v @ k) * k
 
 
-def _prefactor(kind, axis):
-    """Prefactor C of the pattern of mode `kind` along or about `axis`; checks both."""
+def _pattern(kind, axis):
+    """The row (C, e, s, t) of the pattern C [e - (e . k) k] (s . k - t) of
+    mode `kind` along (motion) or about (libration) `axis`; checks both.
+    Motion along mu: C = i sqrt(3 / (8 pi l_mu)), e = e_x, s = e_mu, t = [mu = z].
+    Libration about mu: C = -sqrt(3 / (8 pi)), e = e_mu, s = 0, t = -1.
+    In affine form the pattern is C P_k (a + B k), with P_k = 1 - k k^T,
+    a = -t e and B = e s^T."""
     if kind == "motion":
         if axis not in MOTION_GEOMETRY_FACTORS:
             raise ConfigError(f"motion axis must be one of x, y, z, got {axis!r}")
-        return 1j * np.sqrt(3.0 / (8.0 * np.pi * MOTION_GEOMETRY_FACTORS[axis]))
+        c = 1j * math.sqrt(3.0 / (8.0 * math.pi * MOTION_GEOMETRY_FACTORS[axis]))
+        return c, AXES["x"], AXES[axis], float(axis == "z")
     if kind == "libration":
         if axis not in ("y", "z"):
             raise ConfigError(f"libration axis must be y or z, got {axis!r}")
-        return -np.sqrt(3.0 / (8.0 * np.pi))
+        return -math.sqrt(3.0 / (8.0 * math.pi)), AXES[axis], np.zeros(3), -1.0
     raise ConfigError(f"mode kind must be motion or libration, got {kind!r}")
-
-
-def make_motion_distribution(axis):
-    """Coupling pattern of the center-of-mass motion along a Cartesian axis.
-
-    i * sqrt(3 / (8 pi l)) * [e_x - (e_x . k) k] * [(k - e_z) . e_axis],
-    with the geometry factor l = (1, 2, 7) . e_axis / 5.
-    """
-    prefactor = _prefactor("motion", axis)
-    e_mu = AXES[axis]
-
-    def func(k):
-        return prefactor * _transverse(AXES["x"], k) * (e_mu @ k - e_mu[2])
-
-    return AngularDistribution(func)
-
-
-def make_libration_distribution(axis):
-    """Dipole coupling pattern of libration about the y or z axis:
-    -sqrt(3 / (8 pi)) * [e_axis - (e_axis . k) k]."""
-    prefactor = _prefactor("libration", axis)
-    e_mu = AXES[axis]
-
-    def func(k):
-        return prefactor * _transverse(e_mu, k)
-
-    return AngularDistribution(func)
 
 
 def make_mode(kind, axis):
     """Coupling pattern of a mechanical mode: `motion` along, or `libration`
-    about, the Cartesian `axis`."""
-    _prefactor(kind, axis)
-    return (make_motion_distribution if kind == "motion" else make_libration_distribution)(axis)
+    about, the Cartesian `axis`, from its _pattern row."""
+    c, e, s, t = _pattern(kind, axis)
+
+    def func(k):
+        return c * _transverse(e, k) * (s @ k - t)
+
+    return AngularDistribution(func)
+
+
+def make_motion_distribution(axis):
+    """Pattern of the center-of-mass motion along a Cartesian axis:
+    i sqrt(3 / (8 pi l)) [e_x - (e_x . k) k] [(k - e_z) . e_axis], l = (1, 2, 7) . e_axis / 5."""
+    return make_mode("motion", axis)
+
+
+def make_libration_distribution(axis):
+    """Pattern of libration about the y or z axis: -sqrt(3 / (8 pi)) [e_axis - (e_axis . k) k]."""
+    return make_mode("libration", axis)
+
+
+def check_na(na, subject):
+    """ConfigError unless NA_MIN <= na <= 1, naming na by `subject`."""
+    if not NA_MIN <= na <= 1.0:
+        raise ConfigError(f"{subject} lies outside [{NA_MIN!r}, 1], where na^2 is a normal float")
 
 
 def _beam_axis(na, propagation_axis):
     """Unit propagation axis of a Gaussian beam; checks na and the axis."""
-    if not (0.0 < na <= 1.0):
-        raise ConfigError(f"numerical aperture must lie in (0, 1], got {na}")
+    check_na(na, f"numerical aperture {na}")
     n = np.asarray(propagation_axis, float)
-    if np.linalg.norm(n) == 0.0:
+    norm = np.linalg.norm(n)
+    if norm == 0.0:
         raise ConfigError("propagation axis must be a nonzero vector")
-    return n / np.linalg.norm(n)
+    return n / norm
 
 
 def make_gaussian_beam(na, propagation_axis, polarization_angle=0.0):
@@ -323,7 +327,7 @@ def envelope_moments(na):
     c = cos v in [0, 1]: F_l = 2 pi int_0^1 env(c) c^l dc for l = 0..3,
     then beta = (F0 - F2) / 2 and delta = (F1 - F3) / 2, each integrated
     from its own non-negative integrand. Accurate to rounding for NA in
-    (0, 1]."""
+    [NA_MIN, 1]."""
     b = na * na
     end = min(1.0 / b, _MOMENT_CUTOFF)
     edges = np.array([e for e in _MOMENT_PANEL_EDGES if e < end] + [end])
@@ -346,39 +350,32 @@ def _beam_norm(na):
     return np.sqrt((g0 + g2) / 2.0)
 
 
-def _pattern_moment(kind, mu, n, p, moments):
-    """Integral over the sphere of env(n . k) [p - (p . k) k] . v(k), where
-    v is the mode pattern along (motion) or about (libration) the axis of
-    index mu, without its prefactor."""
-    f0, f1, f2, _, beta, delta = moments
-    if kind == "libration":
-        return p[mu] * (f0 + f2) / 2.0
-    value = p[0] * n[mu] * f1 - delta * (n[0] * p[mu] + n[mu] * p[0])
-    if mu == 2:
-        value -= p[0] * (f0 - beta)
-    return value
-
-
 def overlap_form(kind, mode_axis, na, axis=(0.0, 0.0, -1.0)):
     """(c, R) with gaussian_overlap(kind, mode_axis, na, axis, alpha, w)
     = c (sqrt(1 - w), sqrt(w)) R (cos alpha, sin alpha)^T.
 
     c is minus the pattern prefactor C, so arg xi is set by the mode. Row 0
-    of the real 2x2 R is the beam along n, row 1 its partner along -n;
-    columns are polarization e along u and v of rotation_to_axis at its axis.
-    Each entry is _pattern_moment, the sphere integral of the beam field
-    times the pattern over C (motion along mu:
-    e_x n_mu F1 - delta (n_x e_mu + n_mu e_x) - e_x (F0 - beta) [mu = z];
-    libration about mu: e_mu (F0 + F2) / 2), over the beam's
-    N^-1 = sqrt((G0 + G2) / 2) from the moments G of env^2, the envelope
-    at NA / sqrt(2) (_beam_norm).
+    of the real 2x2 R is the beam along d = n, row 1 its partner along
+    d = -n; columns are polarization p along u and v of rotation_to_axis(d).
+    Each entry is the sphere integral of env(d . k) [p - (p . k) k] times
+    the pattern over C, p . [(F0 - beta) a + (F1 B - delta (B + B^T)) d]
+    for the (a, B) of the _pattern row (C, e, s, t), that is
+    (p . e)(s . d) F1 - delta [(e . d)(p . s) + (s . d)(p . e)] - t (p . e)(F0 - beta),
+    over the beam's N^-1 = sqrt((G0 + G2) / 2) from the moments G of env^2,
+    the envelope at NA / sqrt(2) (_beam_norm).
     """
-    prefactor = _prefactor(kind, mode_axis)
-    mu = "xyz".index(mode_axis)
+    c, e, s, t = _pattern(kind, mode_axis)
     n = _beam_axis(na, axis)
-    moments = envelope_moments(na)
-    rows = [[_pattern_moment(kind, mu, d, e, moments) for e in rotation_to_axis(d)[:, :2].T] for d in (n, -n)]
-    return complex(-prefactor), np.array(rows) / _beam_norm(na)
+    f0, f1, _, _, beta, delta = envelope_moments(na)
+    (e0, e1, e2), (s0, s1, s2) = e.tolist(), s.tolist()  # Python floats: numpy dots per entry take twice as long
+    rows = []
+    for d in (n, -n):
+        x, y, z = d.tolist()
+        de, ds = x * e0 + y * e1 + z * e2, x * s0 + y * s1 + z * s2
+        frame = rotation_to_axis(d)[:, :2].T.tolist()  # p = u, v
+        dots = [(px * e0 + py * e1 + pz * e2, px * s0 + py * s1 + pz * s2) for px, py, pz in frame]
+        rows.append([pe * ds * f1 - delta * (de * ps + ds * pe) - t * pe * (f0 - beta) for pe, ps in dots])
+    return complex(-c), np.array(rows) / _beam_norm(na)
 
 
 def form_overlap(c, R, polarization_angle, weight):
@@ -393,8 +390,8 @@ def gaussian_overlap(kind, mode_axis, na, axis=(0.0, 0.0, -1.0), polarization_an
     """Exact overlap, no conjugation, of make_beam(na, axis,
     polarization_angle, weight) with make_mode(kind, mode_axis).
 
-    Every mode pattern is C times a polynomial of degree 3 or less in k, so
-    its sphere integral against the beam field -N env(n . k) [p - (p . k) k]
+    Every mode pattern is C P_k (a + B k) with P_k = 1 - k k^T, so its
+    sphere integral against the beam field -N env(n . k) [p - (p . k) k]
     reduces to radial moments of the envelope and is linear in
     p = cos(alpha) u + sin(alpha) v. The partner of `weight` lives on the
     opposite hemisphere, so the pair stays normalized and the overlap is

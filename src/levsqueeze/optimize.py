@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angular import DEFAULT_RULE, QuadratureRule, form_overlap, overlap_form
+from .angular import DEFAULT_RULE, QuadratureRule, check_na, form_overlap, overlap_form
 from .detect import low_frequency_susceptibility, s_min_opt_u
 from .errors import ConfigError
 from .squeeze import OverlapResult, SqueezeParams, checked_overlap, input_spectra, recoil_ratio
@@ -39,8 +39,8 @@ BOX_TOLERANCE = 1e-10
 
 
 def _check_value(name, value, what):
-    if name == "na" and not 0.0 < value <= 1.0:
-        raise ConfigError(f"{what} {value} of 'na' lies outside (0, 1]")
+    if name == "na":
+        check_na(value, f"{what} {value} of 'na'")
     if name == "weight" and not 0.0 <= value <= 1.0:
         raise ConfigError(f"{what} {value} of 'weight' lies outside [0, 1]")
 

@@ -222,12 +222,27 @@ def test_superpose_counterpropagating_keeps_axis():
     assert abs(angular.overlap_hermitian(mix, mix) - 1.0) < 1e-12
 
 
-def test_make_mode_dispatches_on_kind():
-    k = angular.spherical_basis([0.3, 2.0], [0.1, 4.0])
-    motion = angular.make_mode("motion", "x").amplitude(k)
-    libration = angular.make_mode("libration", "y").amplitude(k)
-    assert np.array_equal(motion, angular.make_motion_distribution("x").amplitude(k))
-    assert np.array_equal(libration, angular.make_libration_distribution("y").amplitude(k))
+def test_make_mode_matches_closed_forms_and_affine_rows():
+    # every field against its closed form, written out here, and against
+    # C P_k (a + B k) with a = -t e and B = e s^T of its _pattern row, at
+    # fixed directions that include the Cartesian axes; the two orders of
+    # operation round terms as large as |C| (1 + |t|) a few times apart
+    rng = np.random.default_rng(31)
+    k = rng.normal(size=(3, 200))
+    k = np.concatenate([k / np.linalg.norm(k, axis=0), np.eye(3), -np.eye(3)], axis=1)
+    e = {axis: vector[:, None] for axis, vector in angular.AXES.items()}
+    length = {"x": 1.0 / 5.0, "y": 2.0 / 5.0, "z": 7.0 / 5.0}
+    closed = {("motion", axis): 1j * np.sqrt(3.0 / (8.0 * np.pi * length[axis])) * (e["x"] - k[0] * k)
+              * (k["xyz".index(axis)] - (axis == "z")) for axis in "xyz"}
+    closed.update({("libration", axis): -np.sqrt(3.0 / (8.0 * np.pi)) * (e[axis] - k["xyz".index(axis)] * k)
+                   for axis in "yz"})
+    for (kind, axis), field in closed.items():
+        got = angular.make_mode(kind, axis).amplitude(k)
+        assert np.array_equal(got, field)
+        c, e_row, s_row, t = angular._pattern(kind, axis)
+        v = (-t * e_row)[:, None] + np.outer(e_row, s_row) @ k
+        affine = c * (v - np.sum(k * v, axis=0) * k)
+        assert np.abs(got - affine).max() <= 4.0 * np.finfo(float).eps * abs(c) * (1.0 + abs(t))
     with pytest.raises(ConfigError):
         angular.make_mode("breathing", "z")
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 from levsqueeze import cli, detect, io
 from levsqueeze.cli import OPTIONS, main, parse_beam_spec, parse_db_range, parse_number, parse_quad
-from levsqueeze.angular import QuadratureRule, gaussian_overlap, integrate_sphere, make_beam, make_mode, overlap
+from levsqueeze.angular import NA_MIN, QuadratureRule, gaussian_overlap, integrate_sphere, make_beam, make_mode, overlap
 from levsqueeze.errors import ConfigError, NumericalFailure
 from levsqueeze.io import write_csv, write_json
 
@@ -264,6 +265,31 @@ def test_optimize_rejects_repeated_names_and_bounds(tmp_path, capsys, args, name
     assert run(tmp_path, "optimize", *args) == 2
     assert named in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+TINY_NA = {
+    "recoil": ["recoil", "--beam", "na={},axis=-z"],
+    "irp": ["irp", "--beam", "na={},axis=-z", "--grid", "4x4"],
+    "optimize": ["optimize", "--free", "na={}:0.5", "--budget", "9"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(TINY_NA))
+@pytest.mark.parametrize("na", [repr(NA_MIN), "1e-154", "1e-200"])
+def test_na_domain_ends_where_na_squared_is_normal(tmp_path, capsys, command, na):
+    # at sqrt(float_info.min) every command runs clean; below it na^2 is
+    # subnormal or zero, and a beam or a search bound exits 2 before any work
+    args = [arg.format(na) for arg in TINY_NA[command]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(tmp_path, *args)
+    err = capsys.readouterr().err
+    if float(na) == NA_MIN:
+        assert (code, err) == (0, "")
+    else:
+        assert code == 2 and len(err.splitlines()) == 1
+        assert f"{na} of 'na' lies outside [{NA_MIN!r}, 1]" in err or f"aperture {na} lies outside" in err
+        assert os.listdir(tmp_path) == []
 
 
 SEARCH = ["--free", "na=0.3:0.9", "--fixed", "phi=0"]

@@ -8,7 +8,8 @@ dB every input_spectra result passes InputSpectra's own consistency check,
 and the closed-form optimum over the measurement strength u is the minimum
 of a dense scan of s_min over u, whose array form is the scalar one bit for
 bit. The Wigner lattice of any state the CLI reaches, up to 3000 dB, sums
-to 1 with no warning. The exact overlap of any Gaussian beam
+to 1 with no warning. overlap_form agrees with the moment formulas
+written per kind. The exact overlap of any Gaussian beam
 with any mode pattern is at most 1 in modulus, and over any box of
 polarization angle and weight its squared modulus lies between the
 closed-form extremes the beam search uses. A single beam's field vanishes
@@ -238,6 +239,43 @@ MODES = [("motion", "x"), ("motion", "y"), ("motion", "z"), ("libration", "y"), 
 def test_gaussian_overlap_bounded(mode, na, axis, pol, weight):
     # a normalized beam and a normalized pattern overlap by at most 1
     assert abs(angular.gaussian_overlap(*mode, na, axis, pol, weight)) <= 1.0 + 1e-12
+
+
+def pattern_moment(kind, mu, d, p, moments):
+    """Reference: the sphere integral of env(d . k) [p - (p . k) k] times the
+    pattern over its prefactor, one formula per kind."""
+    f0, f1, f2, _, beta, delta = moments
+    if kind == "libration":
+        return p[mu] * (f0 + f2) / 2.0
+    value = p[0] * d[mu] * f1 - delta * (d[0] * p[mu] + d[mu] * p[0])
+    if mu == 2:
+        value -= p[0] * (f0 - beta)
+    return value
+
+
+@DETERMINISTIC
+@given(
+    mode=st.sampled_from(MODES),
+    na=st.floats(min_value=angular.NA_MIN, max_value=1.0),
+    axis=st.tuples(*[st.floats(min_value=-1.0, max_value=1.0)] * 3).filter(lambda v: sum(c * c for c in v) > 1e-6),
+)
+def test_overlap_form_matches_the_per_kind_moments(mode, na, axis):
+    # motion entries are the same floats; a libration entry takes F0 - beta
+    # for the algebraically equal (F0 + F2) / 2, whose moments are each
+    # integrated to rounding, so they differ by a few roundings of F0 / N
+    kind, mode_axis = mode
+    n = np.asarray(axis) / np.linalg.norm(axis)
+    moments, norm = angular.envelope_moments(na), angular._beam_norm(na)
+    mu = "xyz".index(mode_axis)
+    reference = np.array(
+        [[pattern_moment(kind, mu, d, p, moments) for p in angular.rotation_to_axis(d)[:, :2].T] for d in (n, -n)]
+    ) / norm
+    c, R = angular.overlap_form(kind, mode_axis, na, axis)
+    assert c == -angular._pattern(kind, mode_axis)[0]
+    if kind == "motion":
+        assert np.array_equal(R, reference)
+    else:
+        assert np.abs(R - reference).max() <= 4.0 * np.finfo(float).eps * moments[0] / norm
 
 
 @DETERMINISTIC

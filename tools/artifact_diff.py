@@ -9,8 +9,8 @@ workload definitions. Each tree runs every command of
 `perfbench.workloads.commands(workload, seed)`, every workload at seeds 3
 and 7 and full size, and the EXTRA runs (a `recoil --kind libration` with
 a laser, particle and rotor config, whose derived report no workload
-writes), in one fresh interpreter that imports levsqueeze from that tree's
-`src/`. Every CSV and JSON file the commands write, the
+writes, and runs of the modes no workload couples to), in one fresh
+interpreter that imports levsqueeze from that tree's `src/`. Every CSV and JSON file the commands write, the
 echoed `<command>_config.json` included, is then compared. One line per
 artifact says `identical`, or how many of its cells (CSV cells, JSON leaves)
 differ, the largest difference in units of the 12th significant digit (the
@@ -52,7 +52,12 @@ SEEDS = (3, 7)
 SIGNIFICANT_DIGITS = 12
 # (artifact directory, CLI arguments, config) of the runs compared beside the
 # workloads. No workload writes the libration half of the derived report in
-# recoil_params.json; this recoil run does, with a laser, a particle and a rotor.
+# recoil_params.json; the first recoil run does, with a laser, a particle and a
+# rotor. The workloads couple only to motion along z and libration about y; the
+# other runs reach motion along x and y and libration about z, each with beams
+# along several axes and polarizations. Beams along the Cartesian axes couple
+# to motion x and libration z by exact zeros only, so a search over oblique
+# axes checks the nonzero overlaps of each.
 EXTRA = [
     (
         "extra/recoil-libration-report",
@@ -62,7 +67,41 @@ EXTRA = [
             "particle": {"radius": 70e-9, "density": 2200.0, "permittivity": 2.1},
             "rotor": {"alpha_parallel": 6.0e-33, "alpha_perp": 4.0e-33, "moment_of_inertia": 1.0e-31, "volume": 2.0e-21},
         },
-    )
+    ),
+    (
+        "extra/recoil-motion-x",
+        ["recoil", "--axis", "x", "--beam", "na=0.8,axis=-z,pol=pi/3", "--beam", "na=0.6,axis=+y",
+         "--beam", "na=0.9,axis=-x,pol=pi/4"],
+        None,
+    ),
+    (
+        "extra/recoil-motion-y",
+        ["recoil", "--axis", "y", "--beam", "na=0.7,axis=-z,pol=pi/2", "--beam", "na=0.5,axis=+x,pol=pi/6"],
+        None,
+    ),
+    (
+        "extra/recoil-libration-z",
+        ["recoil", "--kind", "libration", "--axis", "z", "--beam", "na=0.8,axis=-x,pol=pi/2",
+         "--beam", "na=0.6,axis=+y"],
+        None,
+    ),
+    (
+        "extra/irp-libration-z",
+        ["irp", "--kind", "libration", "--axis", "z", "--beam", "na=0.8,axis=-x,pol=pi/2", "--grid", "19x36"],
+        None,
+    ),
+    (
+        "extra/optimize-motion-x",
+        ["optimize", "--kind", "motion", "--axis", "x", "--free", "na=0.2:1", "--free", "axis_theta=0:pi",
+         "--free", "axis_phi=0:pi", "--fixed", "phi=0", "--budget", "81"],
+        None,
+    ),
+    (
+        "extra/optimize-libration-z",
+        ["optimize", "--kind", "libration", "--axis", "z", "--free", "na=0.2:1", "--free", "axis_theta=0:pi",
+         "--free", "axis_phi=0:pi", "--fixed", "phi=0", "--budget", "81"],
+        None,
+    ),
 ]
 
 # The child runs each (out, args) job of the JSON file argv[1] through
